@@ -20,21 +20,15 @@ import (
 
 // TestIngestStoreFailureAnswers503 closes the experiment's store out
 // from under a live lease — the in-process stand-in for a full disk —
-// and asserts the ingest answers 503 with a Retry-After hint, in both
-// the group-commit and the per-record-fsync append paths.
+// and asserts the ingest answers 503 with a Retry-After hint.
 func TestIngestStoreFailureAnswers503(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		window int // CommitWindow sign: 0 group commit (default), -1 per-record
+		name string
 	}{
-		{"group-commit", 0},
-		{"per-record", -1},
+		{"group-commit"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Dir: t.TempDir(), Shards: 1, Metrics: obs.NewRegistry()}
-			if tc.window < 0 {
-				cfg.CommitWindow = -1
-			}
 			srv, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -127,22 +127,29 @@ func TestStateLogCorruptMiddleLineRejected(t *testing.T) {
 func TestStateLogScannerFailureRejected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, StateFile)
-	// A line past the scanner's 1 MiB buffer cap stops the scan loop the
-	// same way a torn tail would — but valid events follow it, so
-	// treating it as a tail would silently drop them (and a dropped
-	// lease grant hands one shard to two workers). It must be an error.
+	// The state log shares the journal's line scanner, which has no line
+	// cap: an event past 1 MiB is an ordinary line, and the events after
+	// it must replay too — a dropped lease grant hands one shard to two
+	// workers.
 	huge := `{"type":"worker","worker":"` + strings.Repeat("x", (1<<20)+1024) + `"}`
 	body := `{"type":"epoch","epoch":1}` + "\n" + huge + "\n" +
 		`{"type":"worker","worker":"w1"}` + "\n"
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := openStateLog(path)
-	if err == nil {
-		t.Fatal("scanner failure mid-file accepted; events after it would be silently dropped")
+	log, events, err := openStateLog(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "corrupt journal") {
-		t.Fatalf("error %q does not name the corrupt journal", err)
+	defer log.close()
+	if len(events) != 3 {
+		t.Fatalf("replayed %d event(s), want 3", len(events))
+	}
+	if got := events[1].Worker; len(got) != (1<<20)+1024 {
+		t.Errorf("huge event worker has %d byte(s), want %d", len(got), (1<<20)+1024)
+	}
+	if events[2] != (stateEvent{Type: "worker", Worker: "w1"}) {
+		t.Errorf("event after the huge one = %+v", events[2])
 	}
 }
 

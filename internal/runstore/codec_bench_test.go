@@ -54,7 +54,8 @@ func writeBulkBinary(tb testing.TB, path, experiment string, rows, reps int, pad
 
 // The Encode pair is the pure codec half of the append path: one
 // iteration encodes 10^5 records to a wire stream. The binary frames
-// must beat json.Marshal by the margin BENCH_codec.json records.
+// must beat json.Marshal; the repository benchmark (perfbench/README.md)
+// measures the codec inside the end-to-end workloads.
 
 func BenchmarkEncodeJSON(b *testing.B) {
 	recs := benchCodecRecords(b, 100_000)

@@ -39,7 +39,8 @@
 // Durability contract: Append returns only after the record's bytes are
 // written and fsynced, so a crash immediately after a successful Append
 // loses nothing. A crash mid-append leaves at most one torn trailing
-// line, which Open truncates; complete records are never rewritten in
-// place — Compact and Merge write aside atomically (temp file, fsync,
-// rename) and replace.
+// record, which Open truncates (the internal/applog rule, shared by
+// Journal's JSONL and binary codecs). Complete records are never
+// rewritten in place: Compact and Merge write aside atomically (temp
+// file, fsync, rename) and replace.
 package runstore

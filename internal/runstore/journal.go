@@ -8,12 +8,13 @@ import (
 	"io"
 	"iter"
 	"math"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/applog"
 )
 
 // Record is one journaled execution unit: the responses measured for one
@@ -66,79 +67,93 @@ func AssignmentHash(a map[string]string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Journal is an append-only JSONL run store with an in-memory index.
-// Append and Lookup are safe for concurrent use.
+// Journal is an append-only run store with an in-memory index, persisted
+// through one applog.File in one of two codecs: JSON lines (Open,
+// OpenDir) or binary frames (OpenBinary, OpenBinaryDir). Both share the
+// index, the last-wins view, and the torn-tail rule; only the bytes
+// differ. Append and Lookup are safe for concurrent use.
 type Journal struct {
-	mu       sync.Mutex
-	path     string
-	f        *os.File
-	recs     map[string]Record
-	order    []string // keys in file order, for deterministic Scan order
-	appended int      // records ever indexed, including superseded ones
-	torn     bool     // a torn trailing line was truncated on open
+	mu    sync.Mutex
+	path  string
+	codec codec
+	f     *applog.File
+	recs  map[string]Record
+	order []string // keys in file order, for deterministic Scan order
+	torn  bool     // a torn trailing record was truncated on open
 }
 
-// Open opens (creating if absent) the journal at path, loading every
-// complete record. A torn trailing line — a crash mid-append — is
+// codec is one on-disk encoding of a journal.
+type codec struct {
+	// name names the encoding in errors.
+	name string
+	// header is the magic every file starts with; "" for JSON lines.
+	header string
+	// detail describes the encoding in Info.Detail.
+	detail string
+	// scan walks the records of r, which starts base bytes into the
+	// file (just past the header), and returns the absolute offset up
+	// to which the input is intact.
+	scan func(r io.Reader, base int64, fn func(Record, Extent) error) (keep int64, torn bool, err error)
+	// encode appends one record's bytes — a whole line or frame — to dst.
+	encode func(dst []byte, rec Record) ([]byte, error)
+	// decode parses the bytes of one extent yielded by scan.
+	decode func(raw []byte) (Record, error)
+}
+
+// jsonlCodec is the version-1 canonical encoding: one JSON object per
+// '\n'-terminated line.
+var jsonlCodec = codec{
+	name: "JSONL",
+	scan: applog.ScanLines[Record],
+	encode: func(dst []byte, rec Record) ([]byte, error) {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return dst, err
+		}
+		return append(append(dst, line...), '\n'), nil
+	},
+	decode: func(raw []byte) (Record, error) {
+		var rec Record
+		err := json.Unmarshal(bytes.TrimSpace(raw), &rec)
+		return rec, err
+	},
+}
+
+// Open opens (creating if absent) the JSONL journal at path, loading
+// every complete record. A torn trailing line — a crash mid-append — is
 // truncated; a corrupt line anywhere else is an error, because silently
 // skipping complete records would turn resume into silent re-execution.
-func Open(path string) (*Journal, error) {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("runstore: %w", err)
-		}
-	}
-	j := &Journal{path: path, recs: make(map[string]Record)}
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("runstore: %w", err)
-	}
-	keep, err := j.parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("runstore: %s: %w", path, err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("runstore: %w", err)
-	}
-	if keep < len(data) {
-		if err := f.Truncate(int64(keep)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("runstore: truncating torn tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("runstore: %w", err)
-	}
-	// A parseable but unterminated final line (e.g. a journal edited by
-	// hand): terminate it so the next append starts on a fresh line.
-	if keep > 0 && !j.torn && data[keep-1] != '\n' {
-		if _, err := f.WriteString("\n"); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("runstore: %w", err)
-		}
-	}
-	j.f = f
-	return j, nil
-}
+func Open(path string) (*Journal, error) { return openJournal(path, jsonlCodec) }
 
-// parse loads every complete record from data into the index and
-// returns the byte offset up to which the file is intact (everything
-// past it is a torn trailing line to truncate). The line framing and
-// torn-tail rule live in scanJournal, shared with the streaming reader
-// behind Inspect, LoadRecords, Merge, and Compact — one rule, one
-// implementation.
-func (j *Journal) parse(data []byte) (keep int, err error) {
-	k, torn, err := scanJournal(bytes.NewReader(data), func(rec Record, _ Extent) error {
+// openJournal opens path in codec c. A file with a header whose bytes
+// are a proper prefix of it — a crash while creating the file — is torn
+// and restarts as the header alone; any other foreign start is an error.
+func openJournal(path string, c codec) (*Journal, error) {
+	j := &Journal{path: path, codec: c, recs: make(map[string]Record)}
+	index := func(rec Record, _ Extent) error {
 		j.index(rec)
 		return nil
-	})
-	if err != nil {
-		return 0, err
 	}
-	j.torn = torn
-	return int(k), nil
+	header := []byte(c.header)
+	scan := func(data []byte) (int64, bool, error) {
+		switch {
+		case len(data) < len(header) && bytes.HasPrefix(header, data):
+			return 0, len(data) > 0, nil
+		case !bytes.HasPrefix(data, header):
+			return 0, false, fmt.Errorf("not a %s journal", c.name)
+		}
+		return c.scan(bytes.NewReader(data[len(header):]), int64(len(header)), index)
+	}
+	var err error
+	if c.header == "" {
+		j.f, j.torn, err = applog.OpenLines(path, scan)
+	} else {
+		j.f, j.torn, err = applog.Open(path, header, scan)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("runstore: %w", err)
+	}
+	return j, nil
 }
 
 // OpenDir opens the journal for one experiment under dir, creating the
@@ -173,13 +188,12 @@ func (j *Journal) index(rec Record) {
 		j.order = append(j.order, k)
 	}
 	j.recs[k] = rec // last record wins, like a log-structured store
-	j.appended++
 }
 
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// Torn reports whether a torn trailing line was truncated when opening.
+// Torn reports whether a torn trailing record was truncated when opening.
 func (j *Journal) Torn() bool { return j.torn }
 
 // Len returns the number of distinct journaled units.
@@ -263,94 +277,55 @@ func NormalizeAppend(rec Record) (Record, error) {
 	return rec, nil
 }
 
-// Append validates, persists, and indexes one record. The JSON line is
-// written with a single Write call followed by Sync, so a crash leaves at
-// most one torn line — exactly what Open recovers from.
+// Append validates, persists, and indexes one record: AppendBatch of
+// one.
 func (j *Journal) Append(rec Record) error {
-	rec, err := NormalizeAppend(rec)
-	if err != nil {
-		return err
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("runstore: journal %s is closed", j.path)
-	}
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	j.index(rec)
-	metAppends.Inc()
-	metAppendBytes.Add(int64(len(line)))
-	metFsyncs.Inc()
-	return nil
+	return j.AppendBatch([]Record{rec})
 }
 
 // AppendBatch validates, persists, and indexes a batch of records with a
 // single Write call followed by a single Sync — the group-commit
 // primitive: N records cost one fsync instead of N. Validation runs over
 // the whole batch before any byte is written, so a rejected batch leaves
-// nothing behind; a crash mid-write leaves at most one torn line, exactly
-// as Append does, and Open recovers the intact prefix. An empty batch is
-// a no-op.
+// nothing behind; a crash mid-write leaves at most one torn record, and
+// Open recovers the intact prefix. An empty batch is a no-op.
 func (j *Journal) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	var buf bytes.Buffer
+	bufp := getBuf()
+	defer putBuf(bufp)
 	normalized := make([]Record, len(recs))
 	for i, rec := range recs {
 		rec, err := NormalizeAppend(rec)
 		if err != nil {
 			return err
 		}
-		line, err := json.Marshal(rec)
-		if err != nil {
+		if *bufp, err = j.codec.encode(*bufp, rec); err != nil {
 			return fmt.Errorf("runstore: %w", err)
 		}
-		buf.Write(line)
-		buf.WriteByte('\n')
 		normalized[i] = rec
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("runstore: journal %s is closed", j.path)
-	}
-	if _, err := j.f.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.f.Append(*bufp); err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
 	for _, rec := range normalized {
 		j.index(rec)
 	}
 	metAppends.Add(int64(len(normalized)))
-	metAppendBytes.Add(int64(buf.Len()))
+	metAppendBytes.Add(int64(len(*bufp)))
 	metFsyncs.Inc()
 	return nil
 }
 
-// Close closes the journal file. Lookup and Records keep working on the
+// Close closes the journal file. Lookup and Scan keep working on the
 // in-memory index; Append fails.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
+	return j.f.Close()
 }
 
 // LoadRecords reads every complete record from an existing journal (or

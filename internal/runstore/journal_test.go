@@ -252,8 +252,23 @@ func TestJournalLastRecordWins(t *testing.T) {
 
 // TestJournalAppendBatch pins the group-commit primitive: a batch lands
 // byte-identical to the same records appended one at a time, survives
-// reopen, and a rejected batch writes nothing.
+// reopen, and a rejected batch writes nothing — in both codecs.
 func TestJournalAppendBatch(t *testing.T) {
+	for _, codec := range []struct {
+		name string
+		ext  string
+		open func(string) (*Journal, error)
+	}{
+		{"jsonl", ".jsonl", Open},
+		{"binary", BinaryExt, OpenBinary},
+	} {
+		t.Run(codec.name, func(t *testing.T) {
+			testJournalAppendBatch(t, codec.ext, codec.open)
+		})
+	}
+}
+
+func testJournalAppendBatch(t *testing.T, ext string, open func(string) (*Journal, error)) {
 	dir := t.TempDir()
 	recs := []Record{
 		rec("e", 0, 0, map[string]string{"c": "a"}, map[string]float64{"t": 1}),
@@ -261,8 +276,8 @@ func TestJournalAppendBatch(t *testing.T) {
 		rec("e", 0, 1, map[string]string{"c": "a"}, map[string]float64{"t": 3}),
 	}
 
-	one := filepath.Join(dir, "one.jsonl")
-	j1, err := Open(one)
+	one := filepath.Join(dir, "one"+ext)
+	j1, err := open(one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +288,8 @@ func TestJournalAppendBatch(t *testing.T) {
 	}
 	j1.Close()
 
-	batch := filepath.Join(dir, "batch.jsonl")
-	j2, err := Open(batch)
+	batch := filepath.Join(dir, "batch"+ext)
+	j2, err := open(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +317,7 @@ func TestJournalAppendBatch(t *testing.T) {
 	}
 
 	// Durability: reopen serves the batch.
-	r, err := Open(batch)
+	r, err := open(batch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ var (
 	metAppends = obs.Default().Counter("runstore_appends_total",
 		"Records appended across all journals in this process.")
 	metAppendBytes = obs.Default().Counter("runstore_append_bytes_total",
-		"Bytes of JSON lines written by journal appends, including newlines.")
+		"Bytes written by journal appends: JSON lines with their newlines, or binary frames.")
 	metFsyncs = obs.Default().Counter("runstore_fsyncs_total",
 		"fsync calls issued by journal appends.")
 	metScanRecords = obs.Default().Counter("runstore_scan_records_total",

@@ -86,15 +86,5 @@ func Inspect(path string) (Info, error) {
 	if f := formatOf(path); f != nil {
 		return f.Inspect(path)
 	}
-	r, err := openJournalReader(path)
-	if err != nil {
-		return Info{}, err
-	}
-	defer r.Close()
-	for _, err := range r.Entries() {
-		if err != nil {
-			return Info{}, err
-		}
-	}
-	return r.Info(), nil
+	return inspectFile(path, jsonlCodec)
 }

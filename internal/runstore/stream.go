@@ -1,9 +1,6 @@
 package runstore
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -11,15 +8,15 @@ import (
 	"math"
 	"os"
 	"sort"
+
+	"repro/internal/applog"
 )
 
 // Extent locates one record's encoded bytes inside a store file, in the
-// file's own framing (a JSONL line, an archive record block). Extents are
-// only meaningful to the SourceReader that yielded them.
-type Extent struct {
-	Off int64 // byte offset of the record's frame
-	Len int64 // frame length in bytes
-}
+// file's own framing (a JSONL line, a binary frame, an archive record
+// block). Extents are only meaningful to the SourceReader that yielded
+// them.
+type Extent = applog.Extent
 
 // SourceEntry is the lightweight per-record metadata a streaming index
 // pass yields: enough to key, order canonically, and compare
@@ -74,7 +71,7 @@ func OpenSource(path string) (SourceReader, error) {
 	if f := formatOf(path); f != nil {
 		return f.OpenReader(path)
 	}
-	return openJournalReader(path)
+	return openReader(path, jsonlCodec)
 }
 
 // Fingerprint hashes a record's measurement — its assignment and
@@ -156,82 +153,41 @@ func Seq(recs []Record) iter.Seq2[Record, error] {
 	}
 }
 
-// scanJournal is the one implementation of the journal's line framing
-// and torn-tail rule, shared by Journal.Open, the streaming reader, and
-// through them Inspect, LoadRecords, Merge, and Compact. It reads r
-// line by line, fully decoding each record and calling fn with the
-// decoded record and the line's extent.
-// It returns the byte offset up to which the input is intact: a final
-// unterminated line that does not decode is a torn crash tail
-// (torn=true, everything before it kept); a corrupt terminated line
-// anywhere is an error, because silently skipping complete records
-// would turn resume into silent re-execution.
-func scanJournal(r io.Reader, fn func(rec Record, ext Extent) error) (keep int64, torn bool, err error) {
-	br := bufio.NewReaderSize(r, 64<<10)
-	var off int64
-	for {
-		line, rerr := br.ReadBytes('\n')
-		if rerr != nil && rerr != io.EOF {
-			// A real read failure (failing disk, vanished NFS mount) must
-			// surface as an error, never masquerade as a torn crash tail —
-			// a rewriting consumer would otherwise silently drop the
-			// unread remainder of the file.
-			return 0, false, fmt.Errorf("runstore: %w", rerr)
-		}
-		if len(line) == 0 {
-			return off, false, nil // clean EOF at a line boundary
-		}
-		terminated := rerr == nil
-		raw := line
-		if terminated {
-			raw = line[:len(line)-1]
-		}
-		next := off + int64(len(line))
-		if trimmed := bytes.TrimSpace(raw); len(trimmed) > 0 {
-			var rec Record
-			if uerr := json.Unmarshal(trimmed, &rec); uerr != nil {
-				if !terminated { // torn final append from a crash
-					return off, true, nil
-				}
-				return 0, false, fmt.Errorf("corrupt journal line at byte %d: %v", off, uerr)
-			}
-			if ferr := fn(rec, Extent{Off: off, Len: int64(len(raw))}); ferr != nil {
-				return 0, false, ferr
-			}
-		}
-		if rerr == io.EOF {
-			return next, false, nil
-		}
-		off = next
-	}
+// fileReader is the SourceReader of both journal codecs.
+type fileReader struct {
+	path  string
+	f     *os.File
+	codec codec
+	info  Info
 }
 
-// journalReader is the JSONL SourceReader.
-type journalReader struct {
-	path string
-	f    *os.File
-	info Info
-}
-
-func openJournalReader(path string) (*journalReader, error) {
+// openReader opens a journal file of codec c read-only, checking its
+// header.
+func openReader(path string, c codec) (*fileReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
-	return &journalReader{path: path, f: f}, nil
+	head := make([]byte, len(c.header))
+	if _, err := io.ReadFull(f, head); err != nil || string(head) != c.header {
+		f.Close()
+		return nil, fmt.Errorf("runstore: %s: not a %s journal", path, c.name)
+	}
+	return &fileReader{path: path, f: f, codec: c}, nil
 }
 
-// Entries implements SourceReader, scanning the journal from the start.
+// Entries implements SourceReader, scanning the records from the start.
 // It may be consumed more than once; each call re-reads the file.
-func (r *journalReader) Entries() iter.Seq2[SourceEntry, error] {
+func (r *fileReader) Entries() iter.Seq2[SourceEntry, error] {
 	return func(yield func(SourceEntry, error) bool) {
-		if _, err := r.f.Seek(0, io.SeekStart); err != nil {
+		base := int64(len(r.codec.header))
+		if _, err := r.f.Seek(base, io.SeekStart); err != nil {
 			yield(SourceEntry{}, fmt.Errorf("runstore: %w", err))
 			return
 		}
 		records, distinct := 0, make(map[string]struct{})
 		stop := fmt.Errorf("runstore: iteration stopped") // sentinel, never escapes
-		_, torn, err := scanJournal(r.f, func(rec Record, ext Extent) error {
+		_, torn, err := r.codec.scan(r.f, base, func(rec Record, ext Extent) error {
 			// Canonicalize before indexing: a hand-written record with no
 			// hash must key (and dedupe) as the hash Append would derive.
 			if rec.Hash == "" {
@@ -252,18 +208,19 @@ func (r *journalReader) Entries() iter.Seq2[SourceEntry, error] {
 			yield(SourceEntry{}, fmt.Errorf("runstore: %s: %w", r.path, err))
 			return
 		}
-		r.info = Info{Records: records, Distinct: len(distinct), Torn: torn}
+		r.info = Info{Records: records, Distinct: len(distinct), Torn: torn, Detail: r.codec.detail}
 	}
 }
 
-// Read implements SourceReader with one positioned read of the line.
-func (r *journalReader) Read(ext Extent) (Record, error) {
+// Read implements SourceReader with one positioned read of the record's
+// line or frame, so it is safe for concurrent use.
+func (r *fileReader) Read(ext Extent) (Record, error) {
 	raw := make([]byte, ext.Len)
 	if _, err := r.f.ReadAt(raw, ext.Off); err != nil {
 		return Record{}, fmt.Errorf("runstore: %s: reading record at byte %d: %w", r.path, ext.Off, err)
 	}
-	var rec Record
-	if err := json.Unmarshal(bytes.TrimSpace(raw), &rec); err != nil {
+	rec, err := r.codec.decode(raw)
+	if err != nil {
 		return Record{}, fmt.Errorf("runstore: %s: record at byte %d: %w", r.path, ext.Off, err)
 	}
 	if rec.Hash == "" {
@@ -273,10 +230,26 @@ func (r *journalReader) Read(ext Extent) (Record, error) {
 }
 
 // Info implements SourceReader; complete after Entries is consumed.
-func (r *journalReader) Info() Info { return r.info }
+func (r *fileReader) Info() Info { return r.info }
 
 // Close implements SourceReader.
-func (r *journalReader) Close() error { return r.f.Close() }
+func (r *fileReader) Close() error { return r.f.Close() }
+
+// inspectFile reports a journal file's shape without retaining any
+// record payloads.
+func inspectFile(path string, c codec) (Info, error) {
+	r, err := openReader(path, c)
+	if err != nil {
+		return Info{}, err
+	}
+	defer r.Close()
+	for _, err := range r.Entries() {
+		if err != nil {
+			return Info{}, err
+		}
+	}
+	return r.Info(), nil
+}
 
 // ScanFile streams the distinct last-wins records of a store file —
 // journal or registered-format archive — in the file's deterministic

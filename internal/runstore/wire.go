@@ -1,7 +1,6 @@
 package runstore
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -9,7 +8,7 @@ import (
 // The collector's ingest and snapshot streams carry records in exactly
 // the journal's line framing — one JSON object per '\n'-terminated line —
 // so the wire format and the at-rest format are one format, with one
-// framing rule and one torn-tail rule (scanJournal). What differs is the
+// framing rule and one torn-tail rule (applog.ScanLines). What differs is the
 // meaning of an unterminated trailing record: on disk it is a crash tail
 // to truncate and resume past; on the wire it is a truncated upload the
 // receiver must reject, because "resume" for a network stream is the
@@ -39,21 +38,7 @@ const (
 // bytes Journal.Append would persist. The record is validated and
 // canonicalized (NormalizeAppend) first so a wire stream can never carry
 // a record a store would refuse to append.
-func EncodeWire(w io.Writer, rec Record) error {
-	rec, err := NormalizeAppend(rec)
-	if err != nil {
-		return err
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	line = append(line, '\n')
-	if _, err := w.Write(line); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	return nil
-}
+func EncodeWire(w io.Writer, rec Record) error { return encodeWire(w, rec, jsonlCodec) }
 
 // DecodeWire reads a wire stream of line-framed records from r, calling
 // fn with each decoded, canonicalized record in stream order, and
@@ -63,44 +48,15 @@ func EncodeWire(w io.Writer, rec Record) error {
 // sender was cut off mid-record, and accepting the valid prefix would
 // let a partial upload masquerade as a complete one.
 func DecodeWire(r io.Reader, fn func(Record) error) (int, error) {
-	n := 0
-	_, torn, err := scanJournal(r, func(rec Record, _ Extent) error {
-		rec, err := NormalizeAppend(rec)
-		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-		n++
-		return nil
-	})
-	if err != nil {
-		return n, err
-	}
-	if torn {
-		return n, fmt.Errorf("runstore: wire stream truncated mid-record after %d record(s)", n)
-	}
-	return n, nil
+	return decodeWire(r, fn, jsonlCodec)
 }
 
 // EncodeWireBinary writes one record to w in the binary wire framing:
-// one length-prefixed checksummed frame, the exact bytes
-// BinaryJournal.Append would persist. Like EncodeWire it validates and
+// one length-prefixed checksummed frame, the exact bytes a binary
+// journal's Append would persist. Like EncodeWire it validates and
 // canonicalizes first, and it encodes through the pooled buffer, so the
 // binary ingest hot path allocates nothing per record.
-func EncodeWireBinary(w io.Writer, rec Record) error {
-	rec, err := NormalizeAppend(rec)
-	if err != nil {
-		return err
-	}
-	bufp := encodeBinaryFrame(rec)
-	defer putBinBuf(bufp)
-	if _, err := w.Write(*bufp); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	return nil
-}
+func EncodeWireBinary(w io.Writer, rec Record) error { return encodeWire(w, rec, binaryCodec) }
 
 // DecodeWireBinary is DecodeWire for the binary framing: it reads a
 // stream of binary frames from r, calling fn with each decoded,
@@ -109,8 +65,28 @@ func EncodeWireBinary(w io.Writer, rec Record) error {
 // the sender was cut off mid-record — and so is any frame a journal
 // open would refuse.
 func DecodeWireBinary(r io.Reader, fn func(Record) error) (int, error) {
+	return decodeWire(r, fn, binaryCodec)
+}
+
+func encodeWire(w io.Writer, rec Record, c codec) error {
+	rec, err := NormalizeAppend(rec)
+	if err != nil {
+		return err
+	}
+	bufp := getBuf()
+	defer putBuf(bufp)
+	if *bufp, err = c.encode(*bufp, rec); err != nil {
+		return fmt.Errorf("runstore: %w", err)
+	}
+	if _, err := w.Write(*bufp); err != nil {
+		return fmt.Errorf("runstore: %w", err)
+	}
+	return nil
+}
+
+func decodeWire(r io.Reader, fn func(Record) error, c codec) (int, error) {
 	n := 0
-	_, torn, err := scanBinary(r, 0, func(rec Record, _ Extent) error {
+	_, torn, err := c.scan(r, 0, func(rec Record, _ Extent) error {
 		rec, err := NormalizeAppend(rec)
 		if err != nil {
 			return err

@@ -1,13 +1,14 @@
 package warehouse
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sort"
 	"sync"
+
+	"repro/internal/applog"
 )
 
 // Run is one ingested store file's summary — the unit of history. Path
@@ -66,22 +67,6 @@ type Cell struct {
 	Variance float64 `json:"variance"`
 }
 
-// Engine is the storage seam the warehouse index sits behind. The
-// default is the dependency-free checksummed file engine
-// (OpenFileEngine); an indexed SQL engine can replace it without
-// touching the catalog or the query core. Implementations must be safe
-// for concurrent use.
-type Engine interface {
-	// Runs returns the last-wins view of every indexed run — tombstones
-	// included — sorted by (ModTimeNS, Path).
-	Runs() []Run
-	// Put durably inserts or replaces one run's summary, keyed by Path.
-	Put(Run) error
-	// Close releases the engine's resources; Runs keeps serving the
-	// in-memory view, Put fails afterwards.
-	Close() error
-}
-
 const (
 	// IndexMagic is the 8-byte header every warehouse index file starts
 	// with. The digit is the format version: an incompatible change to
@@ -92,7 +77,7 @@ const (
 	// The catalog never ingests it.
 	IndexFile = "warehouse.idx"
 
-	idxFrameHeaderSize = 4 + 4 // payload length, payload CRC
+	idxFrameHeaderSize = applog.FrameHeaderSize
 
 	// maxIndexFrame bounds a frame payload so a corrupt length field
 	// cannot drive a multi-gigabyte allocation during recovery scans.
@@ -100,113 +85,65 @@ const (
 )
 
 // idxCastagnoli is the CRC-32C table every index frame checksum uses —
-// the same polynomial as the binary record journal.
-var idxCastagnoli = crc32.MakeTable(crc32.Castagnoli)
+// the applog frame's, shared with the binary record journal.
+var idxCastagnoli = applog.Castagnoli
 
-// fileEngine is the default Engine: an append-only file of
-// length-prefixed CRC-32C frames, each framing one Run's JSON document,
-// with the binary journal's crash discipline — one write plus one fsync
-// per Put, torn trailing frame truncated on open, corrupt interior
-// frame an error.
-type fileEngine struct {
+// FileEngine is the warehouse index: an applog file of length-prefixed
+// CRC-32C frames, each framing one Run's JSON document, with the
+// append-only log's crash discipline — one write plus one fsync per
+// Put, torn trailing frame truncated on open, corrupt interior frame an
+// error. It is safe for concurrent use.
+type FileEngine struct {
 	mu   sync.Mutex
-	path string
-	f    *os.File
+	f    *applog.File
 	runs map[string]Run // last-wins by Run.Path
 	torn bool
 }
 
 // OpenFileEngine opens (creating if absent) the index file at path.
 // A torn trailing frame — a crash mid-Put — is truncated; a corrupt
-// interior frame or a foreign magic header is an error, because
-// silently dropping indexed history would let a stale index masquerade
-// as a fresh one.
-func OpenFileEngine(path string) (Engine, error) {
-	e := &fileEngine{path: path, runs: make(map[string]Run)}
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("warehouse: %w", err)
-	}
-	keep, err := e.parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("warehouse: %s: %w", path, err)
-	}
-	// O_APPEND makes each Put's single Write land atomically at EOF, so
-	// concurrent writers interleave whole frames, never halves.
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+// interior frame or a foreign or partial magic header is an error,
+// because silently dropping indexed history would let a stale index
+// masquerade as a fresh one.
+func OpenFileEngine(path string) (*FileEngine, error) {
+	e := &FileEngine{runs: make(map[string]Run)}
+	f, torn, err := applog.Open(path, []byte(IndexMagic), e.parse)
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: %w", err)
 	}
-	if keep < int64(len(data)) {
-		if err := f.Truncate(keep); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("warehouse: truncating torn index tail: %w", err)
-		}
-	}
-	if len(data) == 0 {
-		if _, err := f.WriteString(IndexMagic); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("warehouse: %w", err)
-		}
-	}
-	e.f = f
+	e.f, e.torn = f, torn
 	return e, nil
 }
 
-// parse loads every complete frame from data and returns the byte
-// offset up to which the file is intact. An empty file is a fresh
-// index; anything shorter than the magic, or with the wrong magic, is
-// foreign. The torn-tail discipline is the binary journal's:
-// length-prefixed framing cannot resynchronize, so the first invalid
-// frame — short header, short payload, checksum mismatch — ends the
-// readable region (torn=true, everything before it kept), while two
-// shapes a torn single-write append cannot produce are errors: a
-// complete header claiming an impossible payload length, and a
-// checksum-valid payload that does not decode.
-func (e *fileEngine) parse(data []byte) (keep int64, err error) {
+// parse loads every complete frame from data and reports the byte
+// offset up to which the file is intact, by the frame rule of
+// applog.ScanFrames. An empty file is a fresh index; anything else
+// without the whole magic is foreign. A checksum-valid payload that is
+// not a Run with a path is an error.
+func (e *FileEngine) parse(data []byte) (keep int64, torn bool, err error) {
 	if len(data) == 0 {
-		return 0, nil
+		return 0, false, nil
 	}
-	if len(data) < len(IndexMagic) || string(data[:len(IndexMagic)]) != IndexMagic {
-		return 0, fmt.Errorf("not a warehouse index (bad magic)")
+	if !bytes.HasPrefix(data, []byte(IndexMagic)) {
+		return 0, false, fmt.Errorf("not a warehouse index (bad magic)")
 	}
-	off := int64(len(IndexMagic))
-	rest := data[off:]
-	for len(rest) > 0 {
-		if len(rest) < idxFrameHeaderSize {
-			e.torn = true
-			return off, nil
-		}
-		plen := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if plen > maxIndexFrame {
-			return 0, fmt.Errorf("corrupt index frame at byte %d: impossible payload length %d", off, plen)
-		}
-		if int64(len(rest)) < int64(idxFrameHeaderSize)+int64(plen) {
-			e.torn = true
-			return off, nil
-		}
-		payload := rest[idxFrameHeaderSize : idxFrameHeaderSize+int(plen)]
-		if crc32.Checksum(payload, idxCastagnoli) != sum {
-			e.torn = true
-			return off, nil
-		}
-		var r Run
-		if uerr := json.Unmarshal(payload, &r); uerr != nil {
-			return 0, fmt.Errorf("corrupt index frame at byte %d: %v", off, uerr)
-		}
-		if r.Path == "" {
-			return 0, fmt.Errorf("corrupt index frame at byte %d: run without a path", off)
-		}
-		e.runs[r.Path] = r
-		off += int64(idxFrameHeaderSize) + int64(plen)
-		rest = rest[idxFrameHeaderSize+int(plen):]
-	}
-	return off, nil
+	return applog.ScanFrames(bytes.NewReader(data[len(IndexMagic):]), int64(len(IndexMagic)), maxIndexFrame,
+		func(payload []byte, ext applog.Extent) error {
+			var r Run
+			if err := json.Unmarshal(payload, &r); err != nil {
+				return fmt.Errorf("corrupt index frame at byte %d: %v", ext.Off, err)
+			}
+			if r.Path == "" {
+				return fmt.Errorf("corrupt index frame at byte %d: run without a path", ext.Off)
+			}
+			e.runs[r.Path] = r
+			return nil
+		})
 }
 
-// Runs implements Engine.
-func (e *fileEngine) Runs() []Run {
+// Runs returns the last-wins view of every indexed run — tombstones
+// included — sorted by (ModTimeNS, Path).
+func (e *FileEngine) Runs() []Run {
 	e.mu.Lock()
 	out := make([]Run, 0, len(e.runs))
 	for _, r := range e.runs {
@@ -229,16 +166,13 @@ func encodeIndexFrame(r Run) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: %w", err)
 	}
-	frame := make([]byte, idxFrameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, idxCastagnoli))
-	copy(frame[idxFrameHeaderSize:], payload)
-	return frame, nil
+	return applog.AppendFrame(nil, payload), nil
 }
 
-// Put implements Engine: one frame appended with a single Write call
-// followed by Sync, so a crash leaves at most one torn frame.
-func (e *fileEngine) Put(r Run) error {
+// Put durably inserts or replaces one run's summary, keyed by Path: one
+// frame appended with a single Write call followed by Sync, so a crash
+// leaves at most one torn frame.
+func (e *FileEngine) Put(r Run) error {
 	if r.Path == "" {
 		return fmt.Errorf("warehouse: run needs a path")
 	}
@@ -248,34 +182,24 @@ func (e *fileEngine) Put(r Run) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.f == nil {
-		return fmt.Errorf("warehouse: index %s is closed", e.path)
-	}
-	if _, err := e.f.Write(frame); err != nil {
-		return fmt.Errorf("warehouse: %w", err)
-	}
-	if err := e.f.Sync(); err != nil {
+	if err := e.f.Append(frame); err != nil {
 		return fmt.Errorf("warehouse: %w", err)
 	}
 	e.runs[r.Path] = r
 	return nil
 }
 
-// Close implements Engine.
-func (e *fileEngine) Close() error {
+// Close releases the index file; Runs keeps serving the in-memory view,
+// Put fails afterwards.
+func (e *FileEngine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.f == nil {
-		return nil
-	}
-	err := e.f.Close()
-	e.f = nil
-	return err
+	return e.f.Close()
 }
 
 // Torn reports whether a torn trailing frame was truncated on open —
 // surfaced for tests and inspection tooling.
-func (e *fileEngine) Torn() bool { return e.torn }
+func (e *FileEngine) Torn() bool { return e.torn }
 
 // InspectIndex reports the shape of an index file without opening it
 // for writing: run and tombstone counts and whether the tail was torn.
@@ -284,25 +208,26 @@ func InspectIndex(path string) (runs, pruned int, torn bool, err error) {
 	if err != nil {
 		return 0, 0, false, fmt.Errorf("warehouse: %w", err)
 	}
-	e := &fileEngine{runs: make(map[string]Run)}
-	if _, err := e.parse(data); err != nil {
+	all, torn, err := readFrames(data)
+	if err != nil {
 		return 0, 0, false, fmt.Errorf("warehouse: %s: %w", path, err)
 	}
-	for _, r := range e.runs {
+	for _, r := range all {
 		if r.Pruned {
 			pruned++
 		}
 	}
-	return len(e.runs), pruned, e.torn, nil
+	return len(all), pruned, torn, nil
 }
 
-// readFrames is a test seam: it decodes every frame of an index byte
-// stream through the same parser Open uses, reporting the intact run
-// view — the fuzz target drives the decoder through it.
+// readFrames decodes every frame of an index byte stream through the
+// same parser Open uses, reporting the intact run view — InspectIndex
+// reads through it, and the fuzz target drives the decoder through it.
 func readFrames(data []byte) (map[string]Run, bool, error) {
-	e := &fileEngine{runs: make(map[string]Run)}
-	if _, err := e.parse(data); err != nil {
+	e := &FileEngine{runs: make(map[string]Run)}
+	_, torn, err := e.parse(data)
+	if err != nil {
 		return nil, false, err
 	}
-	return e.runs, e.torn, nil
+	return e.runs, torn, nil
 }

@@ -79,7 +79,7 @@ func TestFileEngineRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopened runs = %+v, want %+v", got, want)
 	}
-	if e2.(*fileEngine).Torn() {
+	if e2.Torn() {
 		t.Fatal("clean file reported torn")
 	}
 }
@@ -116,7 +116,7 @@ func TestFileEngineTornTail(t *testing.T) {
 				t.Fatalf("open with torn tail: %v", err)
 			}
 			defer e.Close()
-			if !e.(*fileEngine).Torn() {
+			if !e.Torn() {
 				t.Fatal("torn tail not reported")
 			}
 			runs := e.Runs()

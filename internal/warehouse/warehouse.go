@@ -16,17 +16,12 @@ import (
 )
 
 // Options configure a Warehouse beyond its root directory. The zero
-// value is the deployed default: index file <root>/warehouse.idx on the
-// dependency-free file engine, instruments in the process-wide
-// registry, wall-clock ingest times.
+// value is the deployed default: index file <root>/warehouse.idx,
+// instruments in the process-wide registry, wall-clock ingest times.
 type Options struct {
 	// IndexPath overrides where the index file lives; empty means
-	// <root>/warehouse.idx. Ignored when Engine is set.
+	// <root>/warehouse.idx.
 	IndexPath string
-	// Engine overrides the storage engine behind the index; nil means
-	// the checksummed file engine at IndexPath. The Warehouse owns the
-	// engine and closes it.
-	Engine Engine
 	// Metrics is the registry the warehouse instruments register in;
 	// nil means the process-wide obs.Default().
 	Metrics *obs.Registry
@@ -41,7 +36,7 @@ type Options struct {
 type Warehouse struct {
 	mu    sync.Mutex // serializes Refresh, Prune, and Query
 	root  string
-	eng   Engine
+	eng   *FileEngine
 	met   *metrics
 	clock func() time.Time
 }
@@ -57,15 +52,13 @@ func Open(root string, opts Options) (*Warehouse, error) {
 	if !st.IsDir() {
 		return nil, fmt.Errorf("warehouse: root %s is not a directory", root)
 	}
-	eng := opts.Engine
-	if eng == nil {
-		path := opts.IndexPath
-		if path == "" {
-			path = filepath.Join(root, IndexFile)
-		}
-		if eng, err = OpenFileEngine(path); err != nil {
-			return nil, err
-		}
+	path := opts.IndexPath
+	if path == "" {
+		path = filepath.Join(root, IndexFile)
+	}
+	eng, err := OpenFileEngine(path)
+	if err != nil {
+		return nil, err
 	}
 	reg := opts.Metrics
 	if reg == nil {

@@ -48,9 +48,9 @@ type ServeConfig struct {
 	Token string
 	// CommitWindow bounds how long the group-commit engine gathers
 	// concurrent ingest batches before landing them with one fsync.
-	// 0 means the 2ms default; negative disables group commit and
-	// fsyncs every batch individually. It is the -Dcollector.commitwindow
-	// knob.
+	// 0 means the 2ms default; a tiny window (1ns) lands each batch with
+	// its own fsync; negative is an error. It is the
+	// -Dcollector.commitwindow knob.
 	CommitWindow time.Duration
 	// Ready, when non-nil, is called exactly once with the bound listen
 	// address, after the listener is open and before serving begins.
