@@ -65,7 +65,7 @@ func report(s *sched.Scheduler) {
 	fmt.Printf("spent %d replicates (%d live, %d replayed) vs fixed budget %d (%.1f%% saved)\n",
 		st.Units, st.Executed, st.Replayed, st.FixedBudget,
 		(1-float64(st.Units)/float64(st.FixedBudget))*100)
-	for _, c := range s.CellStats() {
+	for _, c := range s.TakeCellStats() {
 		fmt.Printf("  run %d  %-22s  %2d reps  %s\n", c.Row+1, c.Assignment, c.Spent(), c.Note)
 	}
 }

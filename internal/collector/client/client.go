@@ -165,6 +165,14 @@ func (c *Client) Snapshot(ctx context.Context, lease string) (map[string]runstor
 // failure or shutdown (503) is retried the same way but a bounded
 // number of times; 410 maps to ErrLeaseLost and 409 to ErrConflict,
 // both of which mean: stop.
+//
+// The 429 loop has no attempt bound on purpose. The server always
+// admits a batch for an idle experiment, so a 429 means another batch
+// of the same experiment is in flight and the budget frees when it
+// lands: the wait is bounded by that progress, not by a count. And the
+// server checks the lease before the budget, so a lease that expires
+// while the client waits ends the loop with a 410 (ErrLeaseLost) on the
+// next attempt.
 func (c *Client) Ingest(ctx context.Context, lease string, recs []runstore.Record) error {
 	if len(recs) == 0 {
 		return nil

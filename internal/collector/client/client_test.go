@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/runstore"
 )
 
@@ -133,6 +134,74 @@ func TestIngest503RetriedThenRecovers(t *testing.T) {
 	}
 	if n := deadAttempts(); n != ingestRetries+1 {
 		t.Errorf("permanent 503: server saw %d attempt(s), want %d", n, ingestRetries+1)
+	}
+}
+
+// TestIngest429LoopEnds pins the two exits of the unbounded 429 loop:
+// a lease lost while backpressured ends it with ErrLeaseLost (the server
+// checks the lease before the budget), and a canceled context ends it
+// with ctx.Err() however long the server's Retry-After hint is.
+func TestIngest429LoopEnds(t *testing.T) {
+	rec := runstore.Record{Experiment: "e", Row: 0, Replicate: 0,
+		Assignment: map[string]string{"f": "a"}, Responses: map[string]float64{"ms": 1}}
+	serve := func(statuses ...int) (*httptest.Server, func() int) {
+		var mu sync.Mutex
+		attempts := 0
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			mu.Lock()
+			status := statuses[min(attempts, len(statuses)-1)]
+			attempts++
+			mu.Unlock()
+			if status == http.StatusTooManyRequests {
+				w.Header().Set("Retry-After", "0")
+				if len(statuses) == 1 {
+					w.Header().Set("Retry-After", "30")
+				}
+			}
+			w.WriteHeader(status)
+			io.WriteString(w, `{"error":"scripted"}`)
+		}))
+		return srv, func() int {
+			mu.Lock()
+			defer mu.Unlock()
+			return attempts
+		}
+	}
+
+	lost, lostAttempts := serve(http.StatusTooManyRequests, http.StatusTooManyRequests, http.StatusGone)
+	defer lost.Close()
+	err := New(lost.URL, nil).Ingest(context.Background(), "L", []runstore.Record{rec})
+	if !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("429, 429, 410: err = %v, want ErrLeaseLost", err)
+	}
+	if n := lostAttempts(); n != 3 {
+		t.Errorf("server saw %d attempt(s), want 3", n)
+	}
+
+	busy, _ := serve(http.StatusTooManyRequests) // 429 forever, 30s hints
+	defer busy.Close()
+	c := New(busy.URL, nil)
+	c.SetMetrics(obs.NewRegistry()) // a private waits counter
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() { errc <- c.Ingest(ctx, "L", []runstore.Record{rec}) }()
+	// The waits counter ticks once the 429 is drained, just before the
+	// client blocks on its Retry-After: cancel exactly then.
+	for deadline := time.Now().Add(5 * time.Second); c.met.waits.Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("client never backed off on the 429")
+		}
+	}
+	cancel()
+	select {
+	case err := <-errc:
+		if err != ctx.Err() {
+			t.Errorf("canceled 429 loop: err = %v, want ctx.Err() = %v", err, ctx.Err())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("429 loop did not end on cancel")
 	}
 }
 

@@ -8,14 +8,14 @@
 // Execution routes through the pluggable Executor interface: Sequential
 // (the default — strictly ordered, single goroutine, because concurrent
 // execution on one machine perturbs time measurements) or the
-// concurrent, store-backed scheduler in internal/sched. Executors
-// install per-context via WithExecutor (preferred — scoped, no global
-// state) or process-wide via SetDefaultExecutor. Execute takes a
-// context and threads it into the executor, so cancellation reaches
-// the worker pool; Sequential checks it between units.
+// concurrent, store-backed scheduler in internal/sched. An executor
+// installs per context via WithExecutor — scoped, no global state; a
+// context without one runs Sequential. Execute takes a context and
+// threads it into the executor, so cancellation reaches the worker
+// pool; Sequential checks it between units.
 //
-// Concurrency contract: SetDefaultExecutor/DefaultExecutor/Execute and
-// WithExecutor/ExecutorFrom are safe for concurrent use. An Experiment and a ResultSet are passive
+// Concurrency contract: Execute, WithExecutor and ExecutorFrom are safe
+// for concurrent use. An Experiment and a ResultSet are passive
 // data: safe for concurrent reads, not for mutation during a run. A
 // RunFunc must be safe for concurrent invocation if (and only if) the
 // experiment runs under a concurrent executor.

@@ -4,18 +4,18 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/design"
 )
 
 // Executor turns a validated Experiment into a ResultSet. The package-
-// level Execute routes through a pluggable default so callers (the
-// paperexp drivers, examples, the perfeval CLI) can swap the strictly
-// sequential in-process executor for the concurrent, journaled scheduler
-// in internal/sched without touching experiment code. Sequential stays
-// the default: for measurement-sensitive runs, concurrent execution on
-// one machine perturbs the very quantity being measured.
+// level Execute routes through the executor its context carries (see
+// WithExecutor) so callers (the paperexp drivers, examples, the perfeval
+// CLI) can swap the strictly sequential in-process executor for the
+// concurrent, journaled scheduler in internal/sched without touching
+// experiment code. Sequential stays the default: for
+// measurement-sensitive runs, concurrent execution on one machine
+// perturbs the very quantity being measured.
 //
 // The context carries cancellation through the whole execution: an
 // executor must stop scheduling new units once ctx is done, drain
@@ -25,59 +25,29 @@ type Executor interface {
 	Execute(ctx context.Context, e *Experiment) (*ResultSet, error)
 }
 
-var (
-	defaultMu       sync.RWMutex
-	defaultExecutor Executor = Sequential{}
-)
-
-// SetDefaultExecutor swaps the executor used by the package-level Execute
-// and returns the previous one so callers can restore it. A nil argument
-// resets to the Sequential executor. Prefer WithExecutor for scoped
-// installation: a context-carried executor cannot leak across concurrent
-// library callers the way the process-global default can.
-func SetDefaultExecutor(ex Executor) Executor {
-	if ex == nil {
-		ex = Sequential{}
-	}
-	defaultMu.Lock()
-	prev := defaultExecutor
-	defaultExecutor = ex
-	defaultMu.Unlock()
-	return prev
-}
-
-// DefaultExecutor returns the executor the package-level Execute uses
-// when the context carries none.
-func DefaultExecutor() Executor {
-	defaultMu.RLock()
-	defer defaultMu.RUnlock()
-	return defaultExecutor
-}
-
 // executorKey carries a scoped Executor in a context.
 type executorKey struct{}
 
 // WithExecutor returns a context that carries ex: every package-level
-// Execute under that context runs through ex instead of the process
-// default. This is how the public repro API binds a configured scheduler
-// to one run without mutating global state — two goroutines can run the
-// same experiment through different executors concurrently.
+// Execute under that context runs through ex instead of Sequential. This
+// is how the public repro API binds a configured scheduler to one run
+// without global state — two goroutines can run the same experiment
+// through different executors concurrently.
 func WithExecutor(ctx context.Context, ex Executor) context.Context {
 	return context.WithValue(ctx, executorKey{}, ex)
 }
 
 // ExecutorFrom returns the executor Execute would use under ctx: the
-// context-carried one if present, the process default otherwise.
+// context-carried one if present, Sequential otherwise.
 func ExecutorFrom(ctx context.Context) Executor {
 	if ex, ok := ctx.Value(executorKey{}).(Executor); ok && ex != nil {
 		return ex
 	}
-	return DefaultExecutor()
+	return Sequential{}
 }
 
 // Execute runs the full design with replication through the context's
-// executor (see WithExecutor), falling back to the process default
-// (Sequential unless SetDefaultExecutor installed another).
+// executor (see WithExecutor), falling back to Sequential.
 func Execute(ctx context.Context, e *Experiment) (*ResultSet, error) {
 	return ExecutorFrom(ctx).Execute(ctx, e)
 }
@@ -97,14 +67,6 @@ type CellStats struct {
 
 // Spent returns the total replicates charged to the cell.
 func (c CellStats) Spent() int { return c.Executed + c.Replayed }
-
-// BudgetReporter is implemented by executors that can itemize per-cell
-// replicate spend — the adaptive scheduler in internal/sched. A nil
-// slice means the last execution had no per-cell budget to report (e.g.
-// it ran with a fixed budget).
-type BudgetReporter interface {
-	CellStats() []CellStats
-}
 
 // Sequential executes every design row and replicate strictly in order in
 // the calling goroutine — the executor of choice when the response is a

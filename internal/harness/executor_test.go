@@ -45,38 +45,3 @@ func TestExecuteRejectsNonFiniteResponses(t *testing.T) {
 		}
 	}
 }
-
-// countingExecutor wraps Sequential and counts Execute calls, to prove the
-// default-executor indirection routes through the installed executor.
-type countingExecutor struct {
-	calls int
-}
-
-func (c *countingExecutor) Execute(ctx context.Context, e *Experiment) (*ResultSet, error) {
-	c.calls++
-	return Sequential{}.Execute(ctx, e)
-}
-
-func TestSetDefaultExecutor(t *testing.T) {
-	ce := &countingExecutor{}
-	prev := SetDefaultExecutor(ce)
-	defer SetDefaultExecutor(prev)
-	if DefaultExecutor() != Executor(ce) {
-		t.Fatal("DefaultExecutor should return the installed executor")
-	}
-	rs, err := Execute(context.Background(), paperExperiment(t, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ce.calls != 1 {
-		t.Errorf("installed executor called %d times, want 1", ce.calls)
-	}
-	if len(rs.Rows) != 4 {
-		t.Errorf("rows = %d, want 4", len(rs.Rows))
-	}
-	// nil resets to Sequential.
-	SetDefaultExecutor(nil)
-	if _, ok := DefaultExecutor().(Sequential); !ok {
-		t.Errorf("SetDefaultExecutor(nil) should reset to Sequential, got %T", DefaultExecutor())
-	}
-}

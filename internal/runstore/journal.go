@@ -213,9 +213,13 @@ func (j *Journal) Lookup(experiment, hash string, replicate int) (Record, bool) 
 
 // ReplicateCount returns how many contiguous replicates (0..n-1) of one
 // cell the journal holds — the warm-start budget already spent on it.
-// A gap stops the count: an adaptive resume must extend a contiguous
-// replicate prefix, never fill holes, or the replicate set (and with it
-// every downstream CI) would depend on which run wrote which record.
+// A gap stops the count: the scheduler's warm start replays only this
+// prefix before its controller first decides, so every decision sees
+// replicates 0..n-1. A replicate past the gap is still used once a
+// scheduled batch reaches it — the scheduler looks each scheduled unit
+// up and replays a stored one instead of re-executing it, so only the
+// hole executes. That holds for adaptive resumes too; a replicate
+// beyond the cell's final target stays unused.
 func (j *Journal) ReplicateCount(experiment, hash string) int {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -15,8 +15,6 @@ import (
 	"repro/internal/runstore"
 )
 
-var _ harness.BudgetReporter = (*Scheduler)(nil)
-
 // mixedVariance builds a 2-cell experiment where one cell is nearly
 // noise-free and the other is deterministic but noisy: the adaptive
 // controller should stop the stable cell at the minimum and spend the
@@ -133,7 +131,7 @@ func TestAdaptiveSavesReplicates(t *testing.T) {
 	if st.Units >= st.FixedBudget/2 {
 		t.Errorf("adaptive spent %d of %d replicates — no measurable saving", st.Units, st.FixedBudget)
 	}
-	cells := s.CellStats()
+	cells := s.TakeCellStats()
 	if len(cells) != 2 {
 		t.Fatalf("CellStats = %d cells, want 2", len(cells))
 	}
@@ -214,7 +212,7 @@ func TestAdaptiveWarmStartKeepsBudget(t *testing.T) {
 	if rs1.CSV() != rs2.CSV() || rs1.Report() != rs2.Report() {
 		t.Error("warm-started adaptive ResultSet differs from the cold one")
 	}
-	c1, c2 := s1.CellStats(), s2.CellStats()
+	c1, c2 := s1.TakeCellStats(), s2.TakeCellStats()
 	for i := range c1 {
 		if c1[i].Spent() != c2[i].Spent() {
 			t.Errorf("cell %d budget drifted on resume: %d -> %d", i, c1[i].Spent(), c2[i].Spent())

@@ -53,7 +53,7 @@ func benchExecute(b *testing.B, s *Scheduler) {
 	}
 }
 
-// BenchmarkSchedInstrumented measures the fixed-pool path with the
+// BenchmarkSchedInstrumented measures the fixed-budget path with the
 // instruments live (a private registry, so benchmark runs do not pollute
 // the process-wide series).
 func BenchmarkSchedInstrumented(b *testing.B) {

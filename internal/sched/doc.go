@@ -1,29 +1,34 @@
-// Package sched is the concurrent experiment executor: a worker pool
-// that runs design rows x replicates with bounded parallelism, per-unit
+// Package sched is the concurrent experiment executor: one scheduler
+// loop that runs every design cell, replicates it, and stops when the
+// cell's replication target is met — with bounded parallelism, per-unit
 // retry and timeout, deterministic result ordering, and warm-start from
-// a runstore store — units already persisted are replayed from disk
-// instead of re-executed.
+// a runstore store (units already persisted are replayed from disk
+// instead of re-executed).
 //
-// With Options.Controller set the fixed budget gives way to dynamic
-// work generation: the controller (internal/adaptive) grows each cell
-// batch by batch until its sequential-analysis stopping rule is met,
-// so replication is spent where variance demands it.
+// The target comes from a Controller. Options.Controller
+// (internal/adaptive) grows each cell batch by batch until its
+// sequential-analysis stopping rule is met, so replication is spent
+// where variance demands it; without one the loop runs a constant
+// controller that targets Design.Replicates, the fixed budget. Either
+// way a cell first replays the contiguous replicate prefix its store
+// holds, and every unit the loop then schedules is looked up first: a
+// stored unit that still satisfies the response contract is replayed,
+// not dispatched.
 //
 // The scheduler implements harness.Executor, so it plugs into the
-// package-level harness.Execute — scoped to one run via
-// harness.WithExecutor (how the public repro package binds it), or
-// process-wide via harness.SetDefaultExecutor. It is an
-// opt-in: the sequential executor remains the default because concurrent
-// execution on one machine perturbs time measurements — use the
-// scheduler for simulation-backed or I/O-bound experiments, for
+// package-level harness.Execute, scoped to one run via
+// harness.WithExecutor (how the public repro package binds it). It is
+// an opt-in: the sequential executor remains the default because
+// concurrent execution on one machine perturbs time measurements — use
+// the scheduler for simulation-backed or I/O-bound experiments, for
 // re-running large designs after a crash, and for analysis passes where
 // wall-clock throughput matters more than measurement isolation.
 //
 // Concurrency contract: a Scheduler is safe for use from multiple
-// goroutines; each Execute call runs its own worker pool, and workers
-// write disjoint result slots. A timed-out unit's goroutine is
-// abandoned, never joined — see Options.Timeout for the full
-// abandonment contract.
+// goroutines; each Execute call runs its own worker pool, whose one
+// dispatcher goroutine owns the queue, the result slots and every
+// controller call. A timed-out unit's goroutine is abandoned, never
+// joined — see Options.Timeout for the full abandonment contract.
 //
 // Cancellation contract: Execute takes a context; once it is done the
 // scheduler stops feeding work, drains in-flight units (each journaled

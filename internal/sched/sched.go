@@ -3,11 +3,9 @@ package sched
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
-	"repro/internal/design"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/runstore"
@@ -36,11 +34,12 @@ type Options struct {
 	// side-effect free on cancellation; a runner that blocks forever
 	// leaks its goroutine until process exit.
 	Timeout time.Duration
-	// Controller, when set, switches the scheduler from the fixed
-	// rows x Replicates budget to controller-driven adaptive
-	// replication: work units are generated dynamically, one batch per
-	// cell at a time, until the controller's stopping rule is satisfied.
-	// See the Controller interface; internal/adaptive implements it.
+	// Controller, when set, replaces the fixed rows x Replicates budget
+	// with controller-driven adaptive replication: each cell grows one
+	// batch at a time until the controller's stopping rule is satisfied.
+	// Without one, the same loop runs a constant controller that targets
+	// Design.Replicates for every cell. See the Controller interface;
+	// internal/adaptive implements it.
 	Controller Controller
 	// Store, when set, persists every completed unit and warm-starts
 	// from units already present. Any runstore.Store backend works: the
@@ -83,9 +82,8 @@ type Options struct {
 
 // Stats counts what one Execute call did.
 type Stats struct {
-	// Units is the number of completed units. With a fixed budget it is
-	// rows x replicates; under an adaptive Controller the work list is
-	// not enumerable up front, so Units is Executed + Replayed.
+	// Units is the number of completed units, Executed + Replayed. On
+	// an unsharded fixed-budget run it is rows x replicates.
 	Units    int
 	Executed int // units run live
 	Replayed int // units restored from the journal without execution
@@ -129,17 +127,10 @@ func (s *Scheduler) LastStats() Stats {
 	return s.last
 }
 
-// CellStats implements harness.BudgetReporter: per-cell replicate spend
-// of the most recent Execute. It is nil unless that run was driven by an
+// TakeCellStats returns the per-cell replicate spend of the most recent
+// Execute and clears it. It is nil unless that run was driven by an
 // adaptive Controller — a fixed-budget run spends uniformly, so there is
-// no per-cell budget story to tell.
-func (s *Scheduler) CellStats() []harness.CellStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastCells
-}
-
-// TakeCellStats returns CellStats and clears it, so a caller reporting
+// no per-cell budget story to tell. Clearing means a caller reporting
 // after each of several driver invocations (the perfeval run loop)
 // never re-attributes one experiment's budget to a driver that executed
 // no harness experiment at all.
@@ -149,13 +140,6 @@ func (s *Scheduler) TakeCellStats() []harness.CellStats {
 	cells := s.lastCells
 	s.lastCells = nil
 	return cells
-}
-
-// unit is one (design row, replicate) execution.
-type unit struct {
-	row, rep int
-	a        design.Assignment
-	hash     string
 }
 
 // Execute implements harness.Executor: it validates the experiment,
@@ -204,195 +188,7 @@ func (s *Scheduler) Execute(ctx context.Context, e *harness.Experiment) (*harnes
 		defer store.Close()
 	}
 
-	if s.opts.Controller != nil {
-		return s.executeDynamic(ctx, e, store, s.opts.Controller)
-	}
-
-	rows := e.Design.NumRuns()
-	reps := e.Design.Replicates
-	results := make([][]map[string]float64, rows)
-	assignments := make([]design.Assignment, rows)
-	owned := make([]bool, rows)
-	var pending []unit
-	var stats Stats
-	stats.FixedBudget = rows * reps
-	for r := 0; r < rows; r++ {
-		a, err := e.Design.Assignment(r)
-		if err != nil {
-			return nil, err
-		}
-		assignments[r] = a
-		hash := runstore.AssignmentHash(a)
-		owned[r] = !sharded || runstore.ShardIndex(hash, s.opts.Shards) == s.opts.Shard
-		results[r] = make([]map[string]float64, reps)
-		for rep := 0; rep < reps; rep++ {
-			if store != nil {
-				if rec, ok := store.Lookup(e.Name, hash, rep); ok {
-					// Replay only if the journaled record satisfies the
-					// experiment's current response contract; otherwise
-					// fall through and re-execute (e.g. a new response
-					// was added since the journal was written).
-					if harness.CheckResponses(e, rec.Responses) == nil {
-						results[r][rep] = rec.Responses
-						stats.Replayed++
-						continue
-					}
-				}
-			}
-			if !owned[r] {
-				stats.Skipped++
-				continue
-			}
-			pending = append(pending, unit{row: r, rep: rep, a: a, hash: hash})
-		}
-	}
-	stats.Units = rows*reps - stats.Skipped
-	if m := s.met; m != nil {
-		m.replayed.Add(int64(stats.Replayed))
-		m.skipped.Add(int64(stats.Skipped))
-	}
-
-	if err := s.runPool(ctx, e, store, pending, results, &stats); err != nil {
-		return nil, err
-	}
-
-	rs := &harness.ResultSet{Experiment: e}
-	for r := 0; r < rows; r++ {
-		rowReps := results[r]
-		if !owned[r] {
-			// An unowned row carries only what the store already held:
-			// its contiguous replicate prefix. Trim the unexecuted tail
-			// so the ResultSet never holds nil replicates.
-			n := 0
-			for n < len(rowReps) && rowReps[n] != nil {
-				n++
-			}
-			rowReps = rowReps[:n]
-		}
-		rs.Rows = append(rs.Rows, harness.ResultRow{Assignment: assignments[r], Reps: rowReps})
-	}
-	s.mu.Lock()
-	s.last = stats
-	s.lastCells = nil
-	s.mu.Unlock()
-	return rs, nil
-}
-
-// runPool drives the pending units through the worker pool. Each worker
-// writes into a distinct (row, rep) slot of results, so no lock is
-// needed on the result matrix; stats counters are mutex-guarded. A done
-// context stops the feed; workers drain their in-flight unit (journaled
-// as usual) and exit, and the context error is returned.
-func (s *Scheduler) runPool(ctx context.Context, e *harness.Experiment, store runstore.Store, pending []unit, results [][]map[string]float64, stats *Stats) error {
-	if len(pending) == 0 {
-		return nil
-	}
-	workers := s.opts.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-
-	jobs := make(chan unit)
-	quit := make(chan struct{})
-	var once sync.Once
-	var firstErr error
-	fail := func(err error) {
-		once.Do(func() {
-			firstErr = err
-			close(quit)
-		})
-	}
-	var statsMu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := range jobs {
-				select {
-				case <-quit:
-					return
-				case <-ctx.Done():
-					return
-				default:
-				}
-				start := time.Now()
-				resp, retried, err := s.runWithRetry(ctx, e, u)
-				if m := s.met; m != nil {
-					m.unitSeconds.Observe(time.Since(start).Seconds())
-					if retried > 0 {
-						m.retried.Add(int64(retried))
-					}
-				}
-				statsMu.Lock()
-				stats.Retried += retried
-				statsMu.Unlock()
-				if err != nil {
-					if ctx.Err() != nil {
-						return // cancellation, not a unit failure
-					}
-					fail(err)
-					return
-				}
-				if store != nil {
-					err := store.Append(runstore.Record{
-						Experiment: e.Name,
-						Row:        u.row,
-						Replicate:  u.rep,
-						Hash:       u.hash,
-						Assignment: u.a,
-						Responses:  resp,
-					})
-					if err != nil {
-						fail(err)
-						return
-					}
-				}
-				results[u.row][u.rep] = resp
-				if m := s.met; m != nil {
-					m.executed.Inc()
-				}
-				statsMu.Lock()
-				stats.Executed++
-				statsMu.Unlock()
-			}
-		}()
-	}
-	if m := s.met; m != nil {
-		m.queueDepth.Add(int64(len(pending)))
-	}
-	fed := 0
-feed:
-	for _, u := range pending {
-		select {
-		case jobs <- u:
-			fed++
-			if m := s.met; m != nil {
-				m.queueDepth.Add(-1)
-			}
-		case <-quit:
-			break feed
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	if m := s.met; m != nil {
-		// An aborted feed leaves undispatched units; zero them out so the
-		// gauge never reports a queue that no longer exists.
-		m.queueDepth.Add(-int64(len(pending) - fed))
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("sched: %s interrupted: %w (journal holds every completed unit; re-run to resume)", e.Name, err)
-	}
-	return nil
+	return s.run(ctx, e, store)
 }
 
 // runWithRetry executes one unit with the configured retry budget,

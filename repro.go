@@ -27,8 +27,6 @@
 package repro
 
 import (
-	"context"
-
 	"repro/internal/harness"
 	"repro/internal/paperexp"
 )
@@ -54,29 +52,3 @@ func Experiments() []Experiment { return paperexp.Registry() }
 // SuiteInstructions renders the repeatability instructions for the whole
 // experiment set — what `perfeval suite` prints.
 func SuiteInstructions() string { return paperexp.PaperSuite().Instructions() }
-
-// RunExperiment regenerates the artifact with the given id (t1..t10,
-// f1..f7, case-insensitive) through the sequential executor. It is
-// shorthand for Run with a zero RunConfig, discarding the Outcome
-// accounting.
-func RunExperiment(ctx context.Context, id string) (*Result, error) {
-	out, err := Run(ctx, id, RunConfig{})
-	if err != nil {
-		return nil, err
-	}
-	return out.Result, nil
-}
-
-// RunAllExperiments regenerates every artifact through the sequential
-// executor, stopping at the first failure.
-func RunAllExperiments(ctx context.Context) ([]*Result, error) {
-	outs, err := RunAll(ctx, RunConfig{})
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*Result, len(outs))
-	for i, o := range outs {
-		results[i] = o.Result
-	}
-	return results, nil
-}

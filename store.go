@@ -77,12 +77,6 @@ func (s *Store) Scan() iter.Seq2[Record, error] {
 	return runstore.ScanFile(s.path)
 }
 
-// Records materializes Scan into a slice — a convenience for the few
-// sites that truly need the whole record set at once.
-func (s *Store) Records() ([]Record, error) {
-	return runstore.Collect(s.Scan())
-}
-
 // Collect materializes a record sequence into a slice, stopping at the
 // first error.
 func Collect(seq iter.Seq2[Record, error]) ([]Record, error) {
