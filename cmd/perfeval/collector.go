@@ -52,11 +52,6 @@ func serveCmd(ctx context.Context, w io.Writer, props *config.Properties) error 
 		}
 		cfg.MaxInflight = int64(n)
 	}
-	if props.GetOr("collector.commitwindow", "") != "" {
-		if cfg.CommitWindow, err = props.GetDuration("collector.commitwindow"); err != nil {
-			return err
-		}
-	}
 	return repro.Serve(ctx, cfg)
 }
 

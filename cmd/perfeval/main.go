@@ -77,9 +77,9 @@
 // -Dcollector.dir, a restarted daemon resumes them, and workers ride
 // out the restart on transport retries. -Dcollector.token arms shared
 // bearer-token auth on every data-plane endpoint (workers pass the same
-// value as -Dworker.token), and -Dcollector.commitwindow tunes the
-// group-commit engine that coalesces concurrent ingest batches into
-// one fsync. The wire protocol is documented in docs/COLLECTOR.md.
+// value as -Dworker.token). Each ingest batch is acknowledged only after
+// its one fsync returns. The wire protocol is documented in
+// docs/COLLECTOR.md.
 //
 // Observability: the daemon and worker log structured events through
 // log/slog at the level -Dcollector.log selects (debug, info — the
@@ -201,7 +201,7 @@ func runCtxW(ctx context.Context, w io.Writer, args []string) error {
 
 	case "serve":
 		if len(rest) != 1 {
-			return fmt.Errorf("usage: perfeval serve -Dcollector.dir=DIR [-Dcollector.addr=:8080] [-Dcollector.shards=N] [-Dcollector.ttl=30s] [-Dcollector.inflight=BYTES] [-Dcollector.baseline=PATH] [-Dcollector.token=SECRET] [-Dcollector.commitwindow=2ms]")
+			return fmt.Errorf("usage: perfeval serve -Dcollector.dir=DIR [-Dcollector.addr=:8080] [-Dcollector.shards=N] [-Dcollector.ttl=30s] [-Dcollector.inflight=BYTES] [-Dcollector.baseline=PATH] [-Dcollector.token=SECRET]")
 		}
 		return serveCmd(ctx, w, props)
 

@@ -170,6 +170,12 @@ func (w *Worker) Execute(ctx context.Context, e *harness.Experiment) (*harness.R
 			}
 			return best, nil
 		case errors.Is(err, ErrBusy):
+			// No attempt bound, by design: a 409 means another live lease
+			// holds the shard, and that holder either releases it or
+			// stops renewing and lets it expire within LeaseTTL. Either
+			// way the next acquire after that grants the shard or answers
+			// 204, so the wait ends without a strike count; ctx bounds it
+			// for the caller.
 			select {
 			case <-time.After(w.opts.AcquireWait):
 				continue

@@ -6,8 +6,10 @@ import (
 	"io"
 	"mime"
 	"net/http"
+	"time"
 
 	"repro/internal/runstore"
+	"repro/internal/runstore/shardstore"
 )
 
 // handleIngest streams one batch of records into the lease's shard:
@@ -25,10 +27,10 @@ import (
 //	      last-wins, so the client retries idempotently
 //
 // Records are validated in stream order and the valid prefix is
-// committed through the shard's group-commit engine, so a failed batch
-// leaves a clean prefix durably stored; delivery is at-least-once and
-// the stores are last-wins, so a retried batch converges instead of
-// duplicating.
+// committed with one AppendBatch (one write and one fsync per shard
+// journal touched) before the reply is sent, so a failed batch leaves a
+// clean prefix durably stored; delivery is at-least-once and the stores
+// are last-wins, so a retried batch converges instead of duplicating.
 //
 // The body framing is negotiated by Content-Type: runstore.WireBinaryType
 // selects the binary frame decoder, anything else — including no header
@@ -38,13 +40,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("lease")
 	now := s.cfg.Clock()
 	s.mu.Lock()
-	// The closed check must precede any committer or submitter-group
-	// touch: Close flips closed under this lock and then waits the
-	// submitter group out, so an ingest that got the lock after Close
-	// must not Add to the group (Add-after-Wait misuse), send on a
-	// commit channel Close is about to close, or lazily start a new
-	// committer Close will never drain. It answers 503 — retryable —
-	// because the worker's next attempt lands on the restarted daemon.
+	// The closed check must precede the submitter-group touch: Close
+	// flips closed under this lock and then waits the submitter group
+	// out before it closes the stores, so an ingest that got the lock
+	// after Close must not Add to the group (Add-after-Wait misuse) or
+	// append to a journal Close is about to close. It answers 503 —
+	// retryable — because the worker's next attempt lands on the
+	// restarted daemon.
 	if s.closed {
 		s.mu.Unlock()
 		retryAfterHeader(w, s.cfg.RetryAfter)
@@ -80,12 +82,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.inflight += reserve
-	if e.committers[l.shard] == nil {
-		e.committers[l.shard] = newCommitter(e.store, s.cfg.CommitWindow, s.cfg.CommitMaxBytes, s.met)
-	}
 	// Entering the submitter group under the lock pairs with Close,
 	// which flips closed first and then waits the group out — so a
-	// commit channel is never closed mid-send.
+	// journal is never closed mid-append.
 	e.submits.Add(1)
 	defer e.submits.Done()
 	shard, shards := l.shard, len(e.shards)
@@ -111,8 +110,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	// Decode outside the control-state lock: the batch is validated and
-	// gathered first, then submitted to the shard's committer as one
-	// unit.
+	// gathered first, then appended as one unit.
 	decode := runstore.DecodeWire
 	if wireMediaType(r.Header.Get("Content-Type")) == runstore.WireBinaryType {
 		decode = runstore.DecodeWireBinary
@@ -134,7 +132,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// Commit the decoded records even when the stream failed partway: the
 	// valid prefix lands durably, preserving the contract that a failed
 	// batch leaves a clean prefix for the retry to converge on.
-	if cerr := e.commit(shard, batch, body.n); cerr != nil {
+	if cerr := s.commit(e.store, batch); cerr != nil {
 		if err == nil {
 			err = &storeFailure{cerr}
 		}
@@ -202,7 +200,24 @@ type ingestConflict struct{ msg string }
 
 func (c *ingestConflict) Error() string { return c.msg }
 
-// storeFailure marks a group commit that failed server-side —
+// commit makes one decoded ingest batch durable with a single
+// AppendBatch and returns once its fsync has. A shard has one live
+// lease and its worker flushes batches one at a time, so there is no
+// concurrent batch to share the fsync with; concurrent batches from a
+// direct Client.Ingest caller serialize under the journal lock, each
+// landing whole with its own fsync.
+func (s *Server) commit(store *shardstore.Store, batch []runstore.Record) error {
+	if len(batch) == 0 {
+		return nil
+	}
+	start := time.Now()
+	err := store.AppendBatch(batch)
+	s.met.commitSeconds.Observe(time.Since(start).Seconds())
+	s.met.groupCommits.Inc()
+	return err
+}
+
+// storeFailure marks a batch commit that failed server-side —
 // the batch was well-formed but could not be made durable — and so maps
 // to a retryable 503 rather than the terminal 400 a malformed stream
 // earns.

@@ -10,20 +10,19 @@ import (
 // serverMetrics holds the daemon's instruments, resolved once in New so
 // handlers never touch the registry on the hot path.
 type serverMetrics struct {
-	ingestRecords  *obs.Counter
-	ingestBytes    *obs.Counter
-	ingestReject   *obs.Counter
-	leaseAcquired  *obs.Counter
-	leaseRenewed   *obs.Counter
-	leaseReleased  *obs.Counter
-	leaseExpired   *obs.Counter
-	groupCommits   *obs.Counter
-	fsyncCoalesced *obs.Counter
-	stateErrors    *obs.Counter
-	commitSeconds  *obs.Histogram
-	workers        *obs.Gauge
-	inflightBytes  *obs.Gauge
-	epoch          *obs.Gauge
+	ingestRecords *obs.Counter
+	ingestBytes   *obs.Counter
+	ingestReject  *obs.Counter
+	leaseAcquired *obs.Counter
+	leaseRenewed  *obs.Counter
+	leaseReleased *obs.Counter
+	leaseExpired  *obs.Counter
+	groupCommits  *obs.Counter
+	stateErrors   *obs.Counter
+	commitSeconds *obs.Histogram
+	workers       *obs.Gauge
+	inflightBytes *obs.Gauge
+	epoch         *obs.Gauge
 }
 
 // newServerMetrics registers the collector series in r.
@@ -44,13 +43,11 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		leaseExpired: r.Counter("collector_lease_expired_total",
 			"Leases reclaimed by TTL expiry — dead-worker shard handoffs."),
 		groupCommits: r.Counter("collector_group_commits_total",
-			"Gather windows committed by the group-commit engine (one fsync each per shard journal touched)."),
-		fsyncCoalesced: r.Counter("collector_fsync_coalesced_total",
-			"Fsyncs avoided by group commit: ingest batches that shared another batch's fsync."),
+			"Ingest batches committed, one fsync each per shard journal touched."),
 		stateErrors: r.Counter("collector_state_errors_total",
 			"Control-state journal appends that failed (daemon kept serving; restart fidelity degraded)."),
 		commitSeconds: r.Histogram("collector_commit_seconds",
-			"Ingest batch commit latency: submit to the group-commit engine until its fsync returned.",
+			"Ingest batch commit latency: one AppendBatch, its write and fsync.",
 			obs.DefBuckets),
 		workers: r.Gauge("collector_workers",
 			"Workers that have registered with this daemon."),

@@ -1,8 +1,8 @@
-// Restart, epoch, auth, and group-commit coverage: the daemon-hardening
+// Restart, epoch, auth, and batch-commit coverage: the daemon-hardening
 // contract. These tests exercise the durable control state (a second New
 // on the same directory resumes workers and leases), the stale-epoch
-// 409, the shared-token gate, fsync coalescing, and the inflight-gauge
-// regression.
+// 409, the shared-token gate, one fsync per ingest batch, and the
+// inflight-gauge regression.
 package collector_test
 
 import (
@@ -26,7 +26,7 @@ import (
 
 // restartableServer is a collector whose HTTP front end can be torn down
 // and rebuilt on the same directory — the in-process stand-in for
-// kill -9 plus restart (Server.Close flushes committers but never
+// kill -9 plus restart (Server.Close drains in-flight appends but never
 // releases leases, so the control-state journal is exactly what a new
 // incarnation sees either way).
 type restartableServer struct {
@@ -234,10 +234,10 @@ func TestStaleEpochLease409(t *testing.T) {
 
 // TestClosedServerRefusesRetryably: an ingest or snapshot that reaches
 // a closed daemon must bounce with a retryable 503 before touching the
-// drained committers or closing stores — the request a worker retries
-// across exactly the daemon-restart window the durable control state
-// exists for. Anything else (a terminal 400, a panic on the committer
-// channel) kills the worker's run instead of bridging the restart.
+// closing stores — the request a worker retries across exactly the
+// daemon-restart window the durable control state exists for. Anything
+// else (a terminal 400, an append to a closed journal) kills the
+// worker's run instead of bridging the restart.
 func TestClosedServerRefusesRetryably(t *testing.T) {
 	r := startRestartable(t, nil)
 	ctx := context.Background()
@@ -248,8 +248,8 @@ func TestClosedServerRefusesRetryably(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One landed batch first, so the shard's committer exists when Close
-	// drains it.
+	// One landed batch first, so the shard's journal holds data when
+	// Close closes it.
 	rec := recordForShard(t, exp, grant.Shard, grant.Shards, 0)
 	if err := c.Ingest(ctx, grant.Lease, []runstore.Record{rec}); err != nil {
 		t.Fatal(err)
@@ -362,17 +362,16 @@ func TestSharedTokenAuth(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalesces: concurrent ingest batches inside one gather
-// window share a single fsync. The coalesced counter is the proof; the
-// snapshot is the correctness check (every record still lands).
-func TestGroupCommitCoalesces(t *testing.T) {
+// TestIngestOneFsyncPerBatch: concurrent ingest batches under one lease
+// each land whole with their own commit — one AppendBatch, one fsync —
+// serialized by the journal lock. The snapshot is the correctness check
+// (every record lands); the commit counter pins one commit per batch.
+func TestIngestOneFsyncPerBatch(t *testing.T) {
 	reg := obs.NewRegistry()
-	hs, c := startServer(t, func(cfg *collector.Config) {
+	_, c := startServer(t, func(cfg *collector.Config) {
 		cfg.Shards = 1
 		cfg.Metrics = reg
-		cfg.CommitWindow = 50 * time.Millisecond
 	})
-	_ = hs
 	ctx := context.Background()
 	const exp = "gc exp"
 
@@ -403,16 +402,8 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if len(warm) != n {
 		t.Fatalf("snapshot holds %d record(s), want %d", len(warm), n)
 	}
-	coalesced := reg.Counter("collector_fsync_coalesced_total", "").Value()
-	commits := reg.Counter("collector_group_commits_total", "").Value()
-	if coalesced < 1 {
-		t.Errorf("8 concurrent batches in a 50ms window coalesced %d fsync(s), want >= 1", coalesced)
-	}
-	if commits < 1 || commits >= n {
-		t.Errorf("group commits = %d, want in [1, %d)", commits, n)
-	}
-	if got := commits + coalesced; got != n {
-		t.Errorf("commits (%d) + coalesced (%d) = %d, want %d (every batch accounted once)", commits, coalesced, got, n)
+	if commits := reg.Counter("collector_group_commits_total", "").Value(); commits != n {
+		t.Errorf("batch commits = %d, want %d (one per batch)", commits, n)
 	}
 }
 

@@ -44,15 +44,6 @@ type Config struct {
 	// metrics scrapes carry no write authority and expose no record
 	// data. Empty disables auth (the loopback default).
 	Token string
-	// CommitWindow bounds how long the group-commit engine gathers
-	// concurrent ingest batches before one fsync lands them all. 0
-	// defaults to 2ms; a tiny window (1ns) lands each batch with its own
-	// fsync. Negative is an error.
-	CommitWindow time.Duration
-	// CommitMaxBytes closes a gather window early once this many wire
-	// bytes are queued, bounding commit latency and memory under burst.
-	// 0 defaults to 1 MiB.
-	CommitMaxBytes int64
 	// Baseline, when set, names a baseline store file (journal or
 	// archive): the gate status endpoint compares collected records
 	// against it.
@@ -88,15 +79,6 @@ func (c *Config) fill() error {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.CommitWindow < 0 {
-		return fmt.Errorf("collector: Config.CommitWindow %v is negative", c.CommitWindow)
-	}
-	if c.CommitWindow == 0 {
-		c.CommitWindow = 2 * time.Millisecond
-	}
-	if c.CommitMaxBytes <= 0 {
-		c.CommitMaxBytes = 1 << 20
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -141,14 +123,13 @@ type Server struct {
 // experiment is one experiment's control state: its sharded store and
 // the shard pool leases are granted from.
 type experiment struct {
-	name       string
-	store      *shardstore.Store
-	shards     []shardState
-	leases     map[string]*lease
-	committers []*committer   // lazily started per shard; nil until first ingest
-	submits    sync.WaitGroup // in-flight commit submissions, drained by Close
-	records    int64
-	inflight   int64
+	name     string
+	store    *shardstore.Store
+	shards   []shardState
+	leases   map[string]*lease
+	submits  sync.WaitGroup // in-flight ingest appends, drained by Close
+	records  int64
+	inflight int64
 }
 
 // shard pool states.
@@ -256,9 +237,9 @@ func (s *Server) auth(h http.HandlerFunc) http.HandlerFunc {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close drains every experiment's group-commit engine — batches already
-// acknowledged (or about to be) are durable before their store closes —
-// then closes the stores and the control-state journal. In-flight
+// Close waits out every experiment's in-flight ingest appends — batches
+// already acknowledged (or about to be) are durable before their store
+// closes — then closes the stores and the control-state journal. In-flight
 // handlers racing Close fail their appends loudly (the journals are
 // closed), never silently.
 func (s *Server) Close() error {
@@ -276,24 +257,10 @@ func (s *Server) Close() error {
 
 	var first error
 	for _, e := range exps {
-		// No new submissions start after closed is set — handlers check
+		// No new appends start after closed is set — handlers check
 		// closed under s.mu before entering the submitter group — so wait
-		// out those in flight, stop the committers, and only then close
-		// the journals. The committer slice is re-read under s.mu: its
-		// entries are lazily written by ingest handlers holding the lock,
-		// and the closed check alone does not order those writes with
-		// this read.
+		// out those in flight, and only then close the journals.
 		e.submits.Wait()
-		s.mu.Lock()
-		committers := make([]*committer, len(e.committers))
-		copy(committers, e.committers)
-		s.mu.Unlock()
-		for _, c := range committers {
-			if c != nil {
-				close(c.ch)
-				<-c.stopped
-			}
-		}
 		if err := e.store.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -321,11 +288,10 @@ func (s *Server) experimentLocked(name string) (*experiment, error) {
 		return nil, err
 	}
 	e := &experiment{
-		name:       name,
-		store:      st,
-		shards:     make([]shardState, s.cfg.Shards),
-		leases:     make(map[string]*lease),
-		committers: make([]*committer, s.cfg.Shards),
+		name:   name,
+		store:  st,
+		shards: make([]shardState, s.cfg.Shards),
+		leases: make(map[string]*lease),
 		// Seed the counter from the reopened store: after a restart the
 		// status view must not under-report records already durably
 		// collected. A genuinely new experiment opens empty, so this is 0.

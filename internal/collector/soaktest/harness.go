@@ -1,8 +1,8 @@
 // Package soaktest is the collector's fault-injection harness: a
 // restartable in-process daemon pinned to a stable address, plus the
 // chaos injectors the soak test aims at it — daemon kill/restart cycles,
-// torn connections, and (via a tiny ingest budget) 429 storms. The soak
-// itself lives in this package's test files and asserts the hardening
+// torn connections, and (via slow uploads into a tiny ingest budget) 429
+// storms. The soak itself lives in this package's test files and asserts the hardening
 // contract end to end: whatever the fault schedule, the merged and
 // compacted collector store is byte-identical to a single-process run.
 //
@@ -62,12 +62,44 @@ func (d *Daemon) serve(ln net.Listener) error {
 	if err != nil {
 		return fmt.Errorf("soaktest: %w", err)
 	}
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: slowUploads(srv)}
 	d.mu.Lock()
 	d.srv, d.hs = srv, hs
 	d.mu.Unlock()
 	go hs.Serve(ln)
 	return nil
+}
+
+// uploadDelay is the slow-upload fault: every ingest body reaches the
+// collector this late, as over a slow link, after the request was
+// admitted against the in-flight budget. An admitted batch therefore
+// holds its reservation at least this long, so concurrent workers
+// overlap, and a tiny Config.MaxInflight turns that overlap into a 429
+// storm.
+const uploadDelay = 2 * time.Millisecond
+
+// slowUploads applies the slow-upload fault to h's ingest requests.
+func slowUploads(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == collector.PathIngest {
+			r.Body = &lateBody{ReadCloser: r.Body}
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// lateBody sleeps uploadDelay before its first Read.
+type lateBody struct {
+	io.ReadCloser
+	started bool
+}
+
+func (b *lateBody) Read(p []byte) (int, error) {
+	if !b.started {
+		b.started = true
+		time.Sleep(uploadDelay)
+	}
+	return b.ReadCloser.Read(p)
 }
 
 // Stop kills the current incarnation: the listener and every live

@@ -208,14 +208,13 @@ func TestSoak(t *testing.T) {
 	reg := obs.NewRegistry()
 	srvDir := t.TempDir()
 	d, err := NewDaemon(collector.Config{
-		Dir:          srvDir,
-		Shards:       shards,
-		LeaseTTL:     p.ttl,
-		MaxInflight:  256, // a few records deep: concurrent workers storm into 429s
-		RetryAfter:   100 * time.Millisecond,
-		CommitWindow: 2 * time.Millisecond,
-		Token:        soakToken,
-		Metrics:      reg,
+		Dir:         srvDir,
+		Shards:      shards,
+		LeaseTTL:    p.ttl,
+		MaxInflight: 256, // a few records deep: concurrent workers storm into 429s
+		RetryAfter:  100 * time.Millisecond,
+		Token:       soakToken,
+		Metrics:     reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -74,17 +74,3 @@ func Run(ctx context.Context, id string) (*Result, error) {
 	sort.Strings(ids)
 	return nil, fmt.Errorf("paperexp: unknown experiment %q (have %s)", id, strings.Join(ids, ", "))
 }
-
-// RunAll executes every experiment under ctx, stopping at the first
-// failure (a canceled context included).
-func RunAll(ctx context.Context) ([]*Result, error) {
-	var out []*Result
-	for _, e := range Registry() {
-		r, err := e.Run(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("paperexp: %s: %w", e.ID, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

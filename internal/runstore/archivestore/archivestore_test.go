@@ -382,7 +382,14 @@ func TestBulkWriteLoadInspect(t *testing.T) {
 			recs = append(recs, rec("bulk", row, rep, float64(row)+float64(rep)/10))
 		}
 	}
-	if err := Write(path, runstore.Seq(recs), ""); err != nil {
+	all := func(yield func(runstore.Record, error) bool) {
+		for _, r := range recs {
+			if !yield(r, nil) {
+				return
+			}
+		}
+	}
+	if err := Write(path, all, ""); err != nil {
 		t.Fatal(err)
 	}
 	got, info, err := Load(path)

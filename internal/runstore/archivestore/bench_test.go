@@ -69,7 +69,14 @@ func benchFiles(b *testing.B) (journal, archive string) {
 			return
 		}
 		jf.Close()
-		if err := archivestore.Write(filepath.Join(dir, "bench.arch"), runstore.Seq(recs), ""); err != nil {
+		all := func(yield func(runstore.Record, error) bool) {
+			for _, r := range recs {
+				if !yield(r, nil) {
+					return
+				}
+			}
+		}
+		if err := archivestore.Write(filepath.Join(dir, "bench.arch"), all, ""); err != nil {
 			benchOnce.err = err
 			return
 		}

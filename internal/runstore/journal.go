@@ -288,7 +288,7 @@ func (j *Journal) Append(rec Record) error {
 }
 
 // AppendBatch validates, persists, and indexes a batch of records with a
-// single Write call followed by a single Sync — the group-commit
+// single Write call followed by a single Sync — the batch-commit
 // primitive: N records cost one fsync instead of N. Validation runs over
 // the whole batch before any byte is written, so a rejected batch leaves
 // nothing behind; a crash mid-write leaves at most one torn record, and

@@ -152,7 +152,7 @@ func (s *Store) Append(rec runstore.Record) error {
 
 // AppendBatch appends a batch of records, grouped by destination shard,
 // with one fsync per shard journal touched (runstore.Journal.AppendBatch)
-// instead of one per record — the group-commit append path. Like Append,
+// instead of one per record — the batch append path. Like Append,
 // a record routed to an unowned shard fails the whole batch before any
 // byte of it is written; records for owned shards earlier in the batch
 // may already be durable (the same clean-prefix rule a failed streamed

@@ -141,18 +141,6 @@ func Collect(seq iter.Seq2[Record, error]) ([]Record, error) {
 	return out, nil
 }
 
-// Seq adapts a record slice to the streaming sequence shape consumed by
-// Format.Write and friends.
-func Seq(recs []Record) iter.Seq2[Record, error] {
-	return func(yield func(Record, error) bool) {
-		for _, rec := range recs {
-			if !yield(rec, nil) {
-				return
-			}
-		}
-	}
-}
-
 // fileReader is the SourceReader of both journal codecs.
 type fileReader struct {
 	path  string

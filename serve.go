@@ -46,12 +46,6 @@ type ServeConfig struct {
 	// the same value through WorkConfig.Token. It is the
 	// -Dcollector.token knob.
 	Token string
-	// CommitWindow bounds how long the group-commit engine gathers
-	// concurrent ingest batches before landing them with one fsync.
-	// 0 means the 2ms default; a tiny window (1ns) lands each batch with
-	// its own fsync; negative is an error. It is the
-	// -Dcollector.commitwindow knob.
-	CommitWindow time.Duration
 	// Ready, when non-nil, is called exactly once with the bound listen
 	// address, after the listener is open and before serving begins.
 	Ready func(addr string)
@@ -95,14 +89,13 @@ func Serve(ctx context.Context, cfg ServeConfig) error {
 		return err
 	}
 	srv, err := collector.New(collector.Config{
-		Dir:          cfg.Dir,
-		Shards:       cfg.Shards,
-		LeaseTTL:     cfg.LeaseTTL,
-		MaxInflight:  cfg.MaxInflight,
-		Baseline:     cfg.Baseline,
-		Token:        cfg.Token,
-		CommitWindow: cfg.CommitWindow,
-		Logger:       logger,
+		Dir:         cfg.Dir,
+		Shards:      cfg.Shards,
+		LeaseTTL:    cfg.LeaseTTL,
+		MaxInflight: cfg.MaxInflight,
+		Baseline:    cfg.Baseline,
+		Token:       cfg.Token,
+		Logger:      logger,
 	})
 	if err != nil {
 		return err
