@@ -62,14 +62,17 @@ docs-check:
 # Short native-fuzz smoke over the store parsers: arbitrary byte
 # streams must never panic Open, and complete records must round-trip.
 # `go test -fuzz` takes one target per invocation, so the JSONL and
-# binary fuzzers run back to back. CI runs this on every push; crank
-# FUZZTIME locally for a deeper soak.
+# binary fuzzers, the warehouse index fuzzer, and FuzzStoreFile (every
+# store-file reader — Inspect, ScanFile, archive Open — over mutations
+# of one file per format) run back to back. CI runs this on every push;
+# crank FUZZTIME locally for a deeper soak.
 FUZZTIME ?= 10s
 .PHONY: fuzz
 fuzz:
 	$(GO) test -fuzz=FuzzJournalParse -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore
 	$(GO) test -fuzz=FuzzBinaryDecode -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore
 	$(GO) test -fuzz=FuzzWarehouseIndex -fuzztime=$(FUZZTIME) -run=^$$ ./internal/warehouse
+	$(GO) test -fuzz=FuzzStoreFile -fuzztime=$(FUZZTIME) -run=^$$ ./internal/runstore/archivestore
 
 .PHONY: cover
 cover:

@@ -102,23 +102,25 @@ func run() error {
 	fmt.Printf("converted:     %d record(s) -> %s\n", ms.Kept, filepath.Base(arch))
 
 	// Verify the conversion through the archive index, record by record.
-	recs, _, err := runstore.MergeRecords([]string{journal})
-	if err != nil {
-		return err
-	}
 	a, err := archivestore.Open(arch)
 	if err != nil {
 		return err
 	}
-	for _, want := range recs {
+	verified := 0
+	for want, err := range runstore.MergeScan([]string{journal}) {
+		if err != nil {
+			a.Close()
+			return err
+		}
 		got, ok := a.Lookup(want.Experiment, want.Hash, want.Replicate)
 		if !ok || got.Responses["ms"] != want.Responses["ms"] {
 			a.Close()
 			return fmt.Errorf("verification failed for %s", want.Key())
 		}
+		verified++
 	}
 	a.Close()
-	fmt.Printf("verified:      %d index lookup(s) match the journal\n", len(recs))
+	fmt.Printf("verified:      %d index lookup(s) match the journal\n", verified)
 
 	before, err := os.ReadFile(arch)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -87,6 +88,26 @@ func TestScanFramesErrors(t *testing.T) {
 	keep, torn, err := ScanFrames(bytes.NewReader(flipped), 5, 1<<10, func([]byte, Extent) error { return nil })
 	if err != nil || !torn || keep != 5 {
 		t.Errorf("checksum mismatch: keep=%d torn=%v err=%v, want 5 true nil", keep, torn, err)
+	}
+}
+
+// TestScanFramesCorruptLengthAllocatesWhatIsThere: a torn tail whose
+// header claims a payload near the bound, followed by a few bytes, is
+// torn — and reading it allocates about the bytes present, not the
+// length claimed.
+func TestScanFramesCorruptLengthAllocatesWhatIsThere(t *testing.T) {
+	good := AppendFrame(nil, []byte("payload"))
+	data := AppendFrame(append([]byte{}, good...), []byte("tail"))
+	data[len(good)+2] = 0x20 // the second frame now claims ~2 MiB
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	keep, torn, err := ScanFrames(bytes.NewReader(data), 0, 1<<30, func([]byte, Extent) error { return nil })
+	runtime.ReadMemStats(&after)
+	if err != nil || !torn || keep != int64(len(good)) {
+		t.Fatalf("keep=%d torn=%v err=%v, want %d true nil", keep, torn, err, len(good))
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+		t.Errorf("scanning a %d-byte input allocated %d bytes", len(data), grown)
 	}
 }
 

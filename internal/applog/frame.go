@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // FrameHeaderSize is the size of a frame header: the payload length and
@@ -68,11 +69,8 @@ func ScanFrames(r io.Reader, base int64, maxPayload uint32, fn func(payload []by
 		if n > maxPayload {
 			return 0, false, fmt.Errorf("corrupt frame at byte %d: impossible payload length %d (max %d)", off, n, maxPayload)
 		}
-		if uint32(cap(payload)) < n {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, rerr := io.ReadFull(br, payload); rerr != nil {
+		var rerr error
+		if payload, rerr = readPayload(br, payload[:0], int(n)); rerr != nil {
 			if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
 				return off, true, nil // torn mid-payload
 			}
@@ -87,4 +85,21 @@ func ScanFrames(r io.Reader, base int64, maxPayload uint32, fn func(payload []by
 		}
 		off += frameLen
 	}
+}
+
+// readPayload reads n bytes into buf (reused from its start), growing it
+// by at most its own size plus 64 KiB per read: a corrupt length field
+// in a torn tail then costs about the bytes the input really holds, not
+// the up-to-maxPayload bytes it claims.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for len(buf) < n {
+		step := min(n-len(buf), len(buf)+64<<10)
+		buf = slices.Grow(buf, step)
+		m, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }

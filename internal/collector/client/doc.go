@@ -15,8 +15,9 @@
 //     local spool journal (durability — every completed unit is fsynced
 //     on this machine before the scheduler moves on) tee'd into batched
 //     NDJSON ingest streams to the collector (collection), with the
-//     shard's server-side warm-start snapshot behind Lookup so units a
-//     previous owner already collected replay instead of re-executing.
+//     shard's server-side warm-start snapshot alone behind Lookup, so
+//     units the server already acknowledged replay instead of
+//     re-executing, and nothing is replayed from the spool.
 //   - A renewal goroutine keeps the lease alive at a third of its TTL.
 //
 // Failure contract: on a server-reported conflict (409 — a record that

@@ -16,15 +16,17 @@ import (
 //
 //   - durability: every Append lands in a local spool journal (fsynced)
 //     before anything crosses the network, so a crashed or disconnected
-//     worker always leaves a valid, ordinary runstore journal behind;
+//     worker always leaves a valid, ordinary runstore journal behind.
+//     The spool is write-only: nothing is replayed from it;
 //   - collection: appends are tee'd into batches of FlushEvery records
 //     and streamed to the collector's ingest endpoint; an acknowledged
 //     batch is durable on the server too (at-least-once — a retried
 //     batch converges, the stores are last-wins);
-//   - warm start: Lookup serves the lease's server-side snapshot
-//     (records previous owners collected) before the local journal, so
-//     the scheduler replays them through the exact journal warm-start
-//     machinery a single-machine resume uses.
+//   - warm start: Lookup serves only the lease's server-side snapshot
+//     (records the server acknowledged, from any earlier owner), so the
+//     scheduler replays them through the exact journal warm-start
+//     machinery a single-machine resume uses, and re-executes whatever
+//     the server never acknowledged.
 //
 // Once the lease is lost (the renewer noticed, or ingest answered 410
 // or 409), Append fails fast with the cause; the scheduler drains and
@@ -74,21 +76,22 @@ func (r *remoteStore) lostErr() error {
 	return nil
 }
 
-// Lookup implements runstore.Store: the warm server-side snapshot
-// first — replaying another worker's collected unit must win over
-// re-executing it — then this worker's own spool.
+// Lookup implements runstore.Store over the warm server-side snapshot
+// only: it holds exactly what the server acknowledged, so a replayed
+// unit is one the collected store already has. The local spool is
+// never read back — after a lost lease it may hold records the server
+// never acknowledged, and replaying those would release the shard
+// complete while the server misses them. This run's own appends are not
+// served either; the scheduler looks a unit up only before running it.
 func (r *remoteStore) Lookup(experiment, hash string, replicate int) (runstore.Record, bool) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	rec, ok := r.warm[runstore.Key(experiment, hash, replicate)]
-	r.mu.Unlock()
-	if ok {
-		return rec, true
-	}
-	return r.local.Lookup(experiment, hash, replicate)
+	return rec, ok
 }
 
 // ReplicateCount implements runstore.Store: the contiguous replicate
-// prefix present in either layer.
+// prefix the warm snapshot holds.
 func (r *remoteStore) ReplicateCount(experiment, hash string) int {
 	n := 0
 	for {

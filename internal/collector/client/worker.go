@@ -64,7 +64,7 @@ type Options struct {
 type Report struct {
 	Shards   int   // shard leases run to completion
 	Executed int   // units executed live on this worker
-	Replayed int   // units replayed from warm-start snapshots or spool
+	Replayed int   // units replayed from warm-start snapshots
 	Streamed int64 // records acknowledged by the collector
 }
 
@@ -203,9 +203,9 @@ func (w *Worker) Execute(ctx context.Context, e *harness.Experiment) (*harness.R
 		if err != nil {
 			// A lost lease — TTL expiry during a stall, a daemon restart
 			// that did not resume it — is not this worker's failure: the
-			// shard is (or will be) free again, the spool and everything
-			// the server acknowledged warm-start its next owner, and that
-			// next owner may as well be us. Re-acquire.
+			// shard is (or will be) free again, everything the server
+			// acknowledged warm-starts its next owner, and that next
+			// owner may as well be us. Re-acquire.
 			if errors.Is(err, ErrLeaseLost) && ctx.Err() == nil {
 				strikes++
 				if strikes >= maxStrikes {

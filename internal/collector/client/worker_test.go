@@ -13,6 +13,8 @@ import (
 	"repro/internal/design"
 	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/runstore"
+	"repro/internal/runstore/shardstore"
 )
 
 // observingTransport hands every response to see after the round trip
@@ -129,5 +131,69 @@ func TestExecuteBusyLoopEnds(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("busy loop did not end on cancel")
+	}
+}
+
+// TestLostLeaseRecordsReachServer: a worker whose lease is lost mid-run
+// re-acquires the same shard. Units it spooled but the server never
+// acknowledged must execute (and stream) again — replaying them from
+// the local spool would release the shard complete while the server
+// misses them.
+func TestLostLeaseRecordsReachServer(t *testing.T) {
+	d, err := design.TwoLevelFull([]design.Factor{
+		design.MustFactor("memory", "4MB", "16MB"),
+		design.MustFactor("cache", "1KB", "2KB"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Replicates = 4
+	exp := &harness.Experiment{Name: "lost", Design: d, Responses: []string{"ms"},
+		Run: func(a design.Assignment, rep int) (map[string]float64, error) {
+			return map[string]float64{"ms": float64(len(a["memory"])*10 + rep)}, nil
+		}}
+	dir := t.TempDir()
+	srv, err := collector.New(collector.Config{Dir: dir, Shards: 1,
+		LeaseTTL: 150 * time.Millisecond, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// The second ingest is refused 410 before the daemon sees it: the
+	// worker believes its lease lost while the daemon still holds it
+	// until the TTL runs out, then grants the shard again.
+	var mu sync.Mutex
+	ingests := 0
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == collector.PathIngest {
+			mu.Lock()
+			ingests++
+			n := ingests
+			mu.Unlock()
+			if n == 2 {
+				io.Copy(io.Discard, r.Body)
+				w.WriteHeader(http.StatusGone)
+				io.WriteString(w, `{"error":"scripted lease loss"}`)
+				return
+			}
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+	w, err := NewWorker(Options{URL: hs.URL, Workers: 1, FlushEvery: 4,
+		AcquireWait: 25 * time.Millisecond, SpoolDir: t.TempDir(), Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Execute(context.Background(), exp); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := runstore.LoadRecords(shardstore.Path(dir, exp.Name, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := d.NumRuns() * d.Replicates
+	if len(recs) != want {
+		t.Errorf("server shard holds %d of %d record(s) after the lease loss (report %+v)", len(recs), want, w.Report())
 	}
 }

@@ -373,6 +373,17 @@ func TestOpenRejectsNonArchive(t *testing.T) {
 	}
 }
 
+// load reads a store file's distinct last-wins records and its shape
+// through the runstore format table, the way every tool reads one.
+func load(path string) ([]runstore.Record, runstore.Info, error) {
+	recs, err := runstore.LoadRecords(path)
+	if err != nil {
+		return nil, runstore.Info{}, err
+	}
+	info, err := runstore.Inspect(path)
+	return recs, info, err
+}
+
 func TestBulkWriteLoadInspect(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bulk.arch")
@@ -392,7 +403,7 @@ func TestBulkWriteLoadInspect(t *testing.T) {
 	if err := Write(path, all, ""); err != nil {
 		t.Fatal(err)
 	}
-	got, info, err := Load(path)
+	got, info, err := load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +423,7 @@ func TestBulkWriteLoadInspect(t *testing.T) {
 			t.Fatalf("Load[%d] = %+v, want %+v", i, got[i], want)
 		}
 	}
-	ins, err := Inspect(path)
+	ins, err := runstore.Inspect(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,14 +440,14 @@ func TestBulkWriteLoadInspect(t *testing.T) {
 	if err := os.Truncate(path, st.Size()-int64(trailerSize)-1); err != nil {
 		t.Fatal(err)
 	}
-	ins, err = Inspect(path)
+	ins, err = runstore.Inspect(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ins.Torn || !strings.Contains(ins.Detail, "TRUNCATED") {
 		t.Fatalf("Inspect of truncated archive = %+v, want Torn + TRUNCATED detail", ins)
 	}
-	if _, info, err = Load(path); err != nil || !info.Torn {
+	if _, info, err = load(path); err != nil || !info.Torn {
 		t.Fatalf("Load of truncated archive: info=%+v err=%v, want Torn", info, err)
 	}
 }
@@ -473,9 +484,9 @@ func TestCompactDispatch(t *testing.T) {
 	if cs.Kept != 3 || cs.Dropped != 1 {
 		t.Fatalf("compact stats = %+v, want kept 3 dropped 1", cs)
 	}
-	recs, info, err := Load(path)
-	if err != nil {
-		t.Fatalf("compacted file is not an archive: %v", err)
+	recs, info, err := load(path)
+	if err != nil || !strings.HasPrefix(info.Detail, "archive:") {
+		t.Fatalf("compacted file is not an archive: %+v, %v", info, err)
 	}
 	if len(recs) != 3 || info.Torn {
 		t.Fatalf("compacted archive: %d records, torn=%v", len(recs), info.Torn)
@@ -501,8 +512,8 @@ func TestCompactDispatch(t *testing.T) {
 	if _, err := runstore.Compact(renamed, ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Load(renamed); err != nil {
-		t.Fatalf("renamed archive became a non-archive after in-place compact: %v", err)
+	if _, info, err := load(renamed); err != nil || !strings.HasPrefix(info.Detail, "archive:") {
+		t.Fatalf("renamed archive became a non-archive after in-place compact: %+v, %v", info, err)
 	}
 	// Compacting an archive to a .jsonl destination converts.
 	asJournal := filepath.Join(dir, "out.jsonl")

@@ -94,7 +94,7 @@ func TestCompressedAppendMixedAndReopen(t *testing.T) {
 
 	// The streaming reader over the mixed file: all records, compressed
 	// count surfaced in the Detail.
-	info, err := Inspect(path)
+	info, err := runstore.Inspect(path)
 	if err != nil {
 		t.Fatal(err)
 	}

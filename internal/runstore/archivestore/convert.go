@@ -5,38 +5,32 @@ import (
 	"bytes"
 	"fmt"
 	"iter"
-	"os"
-	"path/filepath"
 
 	"repro/internal/runstore"
 )
 
-// init plugs the archive format into the runstore journal tooling:
-// Merge writes an archive when the destination ends in Ext, and
+// init adds the archive's rows to the runstore format table: Merge and
+// Compact write an archive when the destination ends in Ext, and
 // LoadRecords / ScanFile / Inspect / Merge sources dispatch on the file
 // magic through the streaming reader. Any program importing this
 // package gets the behavior; the scheduler does not need to.
 func init() {
 	runstore.RegisterFormat(runstore.Format{
-		Name:       "archive",
 		Ext:        Ext,
 		Sniff:      func(head []byte) bool { return bytes.Equal(head, []byte(Magic)) },
 		OpenReader: OpenReader,
 		Write:      Write,
-		Inspect:    Inspect,
 	})
 	// The compressed variant is destination-only: a .archz file carries
 	// the same magic and block framing, so as a source it sniffs (and
-	// reads) as "archive" above. Registering the extension routes Merge
-	// and Compact destinations ending in .archz through the compressed
-	// bulk writer.
+	// reads) as the plain archive above. Registering the extension
+	// routes Merge and Compact destinations ending in .archz through the
+	// compressed bulk writer.
 	runstore.RegisterFormat(runstore.Format{
-		Name:       "archivez",
 		Ext:        ExtZ,
 		Sniff:      func(head []byte) bool { return false },
 		OpenReader: OpenReader,
 		Write:      WriteCompressed,
-		Inspect:    Inspect,
 	})
 }
 
@@ -63,160 +57,74 @@ func WriteCompressed(dst string, recs iter.Seq2[runstore.Record, error], modeFro
 
 // writeWith is the shared bulk writer behind Write and WriteCompressed.
 func writeWith(dst string, recs iter.Seq2[runstore.Record, error], modeFrom string, compress bool) error {
-	if dir := filepath.Dir(dst); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+	return runstore.AtomicWrite(dst, modeFrom, func(bw *bufio.Writer) error {
+		if _, err := bw.WriteString(Magic); err != nil {
 			return fmt.Errorf("archivestore: %w", err)
 		}
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".rewrite-*")
-	if err != nil {
-		return fmt.Errorf("archivestore: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	mode := os.FileMode(0o644)
-	if fi, err := os.Stat(modeFrom); err == nil {
-		mode = fi.Mode().Perm()
-	}
-	if err := tmp.Chmod(mode); err != nil {
-		tmp.Close()
-		return fmt.Errorf("archivestore: %w", err)
-	}
-	fail := func(err error) error {
-		tmp.Close()
-		return err
-	}
-	bw := bufio.NewWriterSize(tmp, 256<<10)
-	if _, err := bw.WriteString(Magic); err != nil {
-		return fail(fmt.Errorf("archivestore: %w", err))
-	}
-	off := int64(headerSize)
-	written := 0
-	var pending []pendingEntry
-	var pages []int64
-	flushPage := func() error {
-		if len(pending) == 0 {
+		off := int64(headerSize)
+		written := 0
+		var pending []pendingEntry
+		var pages []int64
+		flushPage := func() error {
+			if len(pending) == 0 {
+				return nil
+			}
+			block := appendBlock(nil, blockIndex, encodeIndexPayload(pending))
+			if _, err := bw.Write(block); err != nil {
+				return fmt.Errorf("archivestore: %w", err)
+			}
+			pages = append(pages, off)
+			off += int64(len(block))
+			pending = pending[:0]
 			return nil
 		}
-		block := appendBlock(nil, blockIndex, encodeIndexPayload(pending))
-		if _, err := bw.Write(block); err != nil {
-			return fmt.Errorf("archivestore: %w", err)
-		}
-		pages = append(pages, off)
-		off += int64(len(block))
-		pending = pending[:0]
-		return nil
-	}
-	for rec, rerr := range recs {
-		if rerr != nil {
-			return fail(rerr)
-		}
-		// Fill a missing hash so the stored key matches what Lookup
-		// computes — but otherwise write records verbatim: bulk Write is
-		// a format conversion, and re-validating (or re-keying) here
-		// would make an archive disagree with the journal it came from.
-		if rec.Hash == "" {
-			rec.Hash = runstore.AssignmentHash(rec.Assignment)
-		}
-		typ := byte(blockRecord)
-		var payload []byte
-		var err error
-		if compress {
-			typ = blockRecordZ
-			payload, err = encodeRecordPayloadZ(rec)
-		} else {
-			payload, err = encodeRecordPayload(rec)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		block := appendBlock(nil, typ, payload)
-		if _, err := bw.Write(block); err != nil {
-			return fail(fmt.Errorf("archivestore: %w", err))
-		}
-		pending = append(pending, pendingEntry{
-			exp: rec.Experiment, hash: rec.Hash, rep: rec.Replicate,
-			entry: entry{off: off, n: int32(len(block))},
-		})
-		off += int64(len(block))
-		written++
-		if len(pending) >= DefaultIndexInterval {
-			if err := flushPage(); err != nil {
-				return fail(err)
+		for rec, err := range recs {
+			if err != nil {
+				return err
+			}
+			// Fill a missing hash so the stored key matches what Lookup
+			// computes — but otherwise write records verbatim: bulk Write
+			// is a format conversion, and re-validating (or re-keying)
+			// here would make an archive disagree with the journal it
+			// came from.
+			if rec.Hash == "" {
+				rec.Hash = runstore.AssignmentHash(rec.Assignment)
+			}
+			typ := byte(blockRecord)
+			var payload []byte
+			if compress {
+				typ = blockRecordZ
+				payload, err = encodeRecordPayloadZ(rec)
+			} else {
+				payload, err = encodeRecordPayload(rec)
+			}
+			if err != nil {
+				return err
+			}
+			block := appendBlock(nil, typ, payload)
+			if _, err := bw.Write(block); err != nil {
+				return fmt.Errorf("archivestore: %w", err)
+			}
+			pending = append(pending, pendingEntry{
+				exp: rec.Experiment, hash: rec.Hash, rep: rec.Replicate,
+				entry: entry{off: off, n: int32(len(block))},
+			})
+			off += int64(len(block))
+			written++
+			if len(pending) >= DefaultIndexInterval {
+				if err := flushPage(); err != nil {
+					return err
+				}
 			}
 		}
-	}
-	if err := flushPage(); err != nil {
-		return fail(err)
-	}
-	tail := appendBlock(nil, blockFooter, encodeFooterPayload(written, pages))
-	tail = append(tail, encodeTrailer(off)...)
-	if _, err := bw.Write(tail); err != nil {
-		return fail(fmt.Errorf("archivestore: %w", err))
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(fmt.Errorf("archivestore: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(fmt.Errorf("archivestore: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("archivestore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		return fmt.Errorf("archivestore: %w", err)
-	}
-	return nil
-}
-
-// Load reads every record from an archive file read-only — the file is
-// never created, repaired, or truncated — returning the distinct
-// last-wins records in first-appended order plus the Info shape, from
-// one walk of the block sequence. It is the materializing convenience
-// over the streaming reader; range over runstore.ScanFile to avoid the
-// slice.
-func Load(path string) ([]runstore.Record, runstore.Info, error) {
-	r, err := OpenReader(path)
-	if err != nil {
-		return nil, runstore.Info{}, err
-	}
-	defer r.Close()
-	idx := make(map[string]runstore.Extent)
-	var order []string
-	for e, eerr := range r.Entries() {
-		if eerr != nil {
-			return nil, runstore.Info{}, eerr
+		if err := flushPage(); err != nil {
+			return err
 		}
-		k := e.Key()
-		if _, seen := idx[k]; !seen {
-			order = append(order, k)
+		tail := appendBlock(nil, blockFooter, encodeFooterPayload(written, pages))
+		tail = append(tail, encodeTrailer(off)...)
+		if _, err := bw.Write(tail); err != nil {
+			return fmt.Errorf("archivestore: %w", err)
 		}
-		idx[k] = e.Ext
-	}
-	out := make([]runstore.Record, 0, len(order))
-	for _, k := range order {
-		rec, err := r.Read(idx[k])
-		if err != nil {
-			return nil, runstore.Info{}, err
-		}
-		out = append(out, rec)
-	}
-	return out, r.Info(), nil
-}
-
-// Inspect reports an archive file's shape — block and index page counts,
-// footer state, and any torn or unfinalized tail — through the same
-// streaming walk every other reader uses. It backs runstore.Inspect for
-// archive files.
-func Inspect(path string) (runstore.Info, error) {
-	r, err := OpenReader(path)
-	if err != nil {
-		return runstore.Info{}, err
-	}
-	defer r.Close()
-	for _, err := range r.Entries() {
-		if err != nil {
-			return runstore.Info{}, err
-		}
-	}
-	return r.Info(), nil
+		return nil
+	})
 }

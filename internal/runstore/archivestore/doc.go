@@ -21,8 +21,8 @@
 // Concurrency contract: an Archive's methods are safe for concurrent
 // use within one process (one mutex guards file and index). The file
 // itself is single-writer: exactly one process may have an archive open
-// for writing; concurrent readers of a finalized archive (Load,
-// Inspect, a closed Archive's Lookup) are safe.
+// for writing; concurrent readers of a finalized archive (OpenReader,
+// runstore.Inspect and ScanFile, a closed Archive's Lookup) are safe.
 //
 // Durability contract: Append writes one checksummed block and fsyncs
 // before returning, so a crash after a successful Append loses nothing.

@@ -171,7 +171,7 @@ func (r *reader) Info() runstore.Info { return r.info }
 func (r *reader) Close() error { return r.f.Close() }
 
 // describe renders the archive Detail string shared by the streaming
-// reader, Inspect, and the open Archive's Info.
+// reader (so runstore.Inspect) and the open Archive's Info.
 func describe(records, zrecords, pages int, finalized bool, dropped int64) string {
 	detail := fmt.Sprintf("archive: %d record block(s), %d index page(s)", records, pages)
 	if zrecords > 0 {

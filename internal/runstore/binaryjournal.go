@@ -1,9 +1,7 @@
 package runstore
 
 import (
-	"bufio"
 	"fmt"
-	"iter"
 	"path/filepath"
 )
 
@@ -42,47 +40,8 @@ func OpenBinaryDir(dir, experiment string) (*Journal, error) {
 	return OpenBinary(filepath.Join(dir, SanitizeName(experiment)+BinaryExt))
 }
 
-// writeBinaryFile atomically replaces dst with the record sequence in
-// binary framing — the bulk writer behind Merge and Compact when the
-// destination carries the .binj extension. Encoding reuses one pooled
-// buffer across the whole sequence, so the write allocates per unique
-// record size class, not per record.
-func writeBinaryFile(dst string, recs iter.Seq2[Record, error], modeFrom string) error {
-	bufp := getBuf()
-	defer putBuf(bufp)
-	return atomicWrite(dst, modeFrom, func(w *bufio.Writer) error {
-		if _, err := w.WriteString(BinaryMagic); err != nil {
-			return fmt.Errorf("runstore: %w", err)
-		}
-		for rec, err := range recs {
-			if err != nil {
-				return err
-			}
-			if rec.Hash == "" {
-				rec.Hash = AssignmentHash(rec.Assignment)
-			}
-			*bufp = appendRecordFrame((*bufp)[:0], rec)
-			if _, err := w.Write(*bufp); err != nil {
-				return fmt.Errorf("runstore: %w", err)
-			}
-		}
-		return nil
-	})
-}
-
-// The binary journal registers as a Format so Merge, Compact,
-// LoadRecords, ScanFile, and Inspect transparently read .binj sources
-// (dispatched by content sniffing) and write .binj destinations
-// (dispatched by extension) — the same seam the archive uses.
-func init() {
-	RegisterFormat(Format{
-		Name: "binary",
-		Ext:  BinaryExt,
-		Sniff: func(head []byte) bool {
-			return len(head) >= binHeaderSize && string(head[:binHeaderSize]) == BinaryMagic
-		},
-		OpenReader: func(path string) (SourceReader, error) { return openReader(path, binaryCodec) },
-		Write:      writeBinaryFile,
-		Inspect:    func(path string) (Info, error) { return inspectFile(path, binaryCodec) },
-	})
-}
+// The binary journal's row of the format table: Merge, Compact,
+// LoadRecords, ScanFile, and Inspect read .binj sources (dispatched by
+// content sniffing) and write .binj destinations (dispatched by
+// extension) through the same seam the archive uses.
+func init() { RegisterFormat(codecFormat(binaryCodec, BinaryExt)) }

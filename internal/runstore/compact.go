@@ -1,10 +1,5 @@
 package runstore
 
-import (
-	"bufio"
-	"iter"
-)
-
 // CompactStats reports what one compaction did.
 type CompactStats struct {
 	Kept    int // distinct records written out
@@ -20,7 +15,7 @@ type CompactStats struct {
 // Open would.
 //
 // Compact streams: the index pass keeps one lightweight entry per key,
-// and the rewrite copies (or decodes) one record at a time, so peak
+// and the rewrite decodes one record at a time, so peak
 // memory never holds the record set — run it on journals of any size.
 //
 // The rewrite is atomic: records go to a temporary file in the target
@@ -30,13 +25,13 @@ type CompactStats struct {
 // journal is a byte-identical no-op. Compact preserves append order;
 // use Merge to rewrite a journal in canonical cross-writer order.
 //
-// Like Merge, Compact dispatches on format: a registered-format archive
-// source is loaded through its own reader (never misparsed as JSONL),
-// and a destination carrying a registered extension is written in that
-// format — so compacting an archive in place keeps it an archive.
+// Like Merge, Compact dispatches on format: the source is read through
+// its sniffed row of the format table (an archive is never misparsed
+// as JSONL), and a destination carrying a registered extension is
+// written in that format — so compacting an archive in place keeps it
+// an archive.
 func Compact(src, dst string) (CompactStats, error) {
 	var cs CompactStats
-	srcFormat := formatOf(src)
 	r, err := OpenSource(src)
 	if err != nil {
 		return cs, err
@@ -53,39 +48,22 @@ func Compact(src, dst string) (CompactStats, error) {
 	if dst == "" {
 		dst = src
 	}
-	formatWrite := formatForDst(dst)
-	if formatWrite == nil && dst == src && srcFormat != nil {
-		// A renamed archive compacted in place stays an archive: the
-		// sniffed source format wins over the (absent) extension.
-		formatWrite = srcFormat
+	w := formatForDst(dst)
+	if w == &formats[0] && dst == src {
+		// A renamed archive compacted in place stays an archive: with
+		// no registered extension to go by, the sniffed source format
+		// wins over the JSONL fallback.
+		w = formatOf(src)
 	}
-	if formatWrite != nil {
-		seq := func(yield func(Record, error) bool) {
-			for _, k := range order {
-				rec, err := r.Read(idx[k].Ext)
-				if !yield(rec, err) {
-					return
-				}
-				if err != nil {
-					return
-				}
-			}
-		}
-		if err := formatWrite.Write(dst, iter.Seq2[Record, error](seq), src); err != nil {
-			return cs, err
-		}
-		metCompactRecords.Add(int64(cs.Kept))
-		return cs, nil
-	}
-	err = atomicWrite(dst, src, func(w *bufio.Writer) error {
+	seq := func(yield func(Record, error) bool) {
 		for _, k := range order {
-			if err := writeEntry(w, r, idx[k]); err != nil {
-				return err
+			rec, err := r.Read(idx[k].Ext)
+			if !yield(rec, err) || err != nil {
+				return
 			}
 		}
-		return nil
-	})
-	if err != nil {
+	}
+	if err := w.Write(dst, seq, src); err != nil {
 		return cs, err
 	}
 	metCompactRecords.Add(int64(cs.Kept))

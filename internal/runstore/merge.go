@@ -1,15 +1,9 @@
 package runstore
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"iter"
-	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
-	"sync"
 )
 
 // Conflict is one key whose stored measurements disagree across merge
@@ -57,10 +51,10 @@ type MergeStats struct {
 // Compact on a merged journal keeps every byte (a merge output already
 // holds exactly one record per key in a stable order).
 //
-// Sources and destination may also be registered-format archives
-// (internal/runstore/archivestore): sources are dispatched by content
-// sniffing, the destination by file extension, so journal→archive and
-// archive→journal conversions are merges like any other.
+// Sources and destination may be in any format of the table (see
+// Format): sources are dispatched by content sniffing, the destination
+// by file extension, so journal→archive and archive→journal
+// conversions are merges like any other.
 func Merge(srcs []string, dst string) (MergeStats, error) {
 	return MergeChecked(srcs, dst, false)
 }
@@ -82,35 +76,11 @@ func MergeChecked(srcs []string, dst string, failOnConflict bool) (MergeStats, e
 	if failOnConflict && len(ms.Conflicts) > 0 {
 		return ms, fmt.Errorf("runstore: %d conflicting record(s) across sources; %s not written", len(ms.Conflicts), dst)
 	}
-	if f := formatForDst(dst); f != nil {
-		if err := f.Write(dst, plan.records(), srcs[0]); err != nil {
-			return ms, err
-		}
-		metMergeRecords.Add(int64(ms.Kept))
-		return ms, nil
-	}
-	if err := plan.writeJournal(dst, srcs[0]); err != nil {
+	if err := formatForDst(dst).Write(dst, plan.records(), srcs[0]); err != nil {
 		return ms, err
 	}
 	metMergeRecords.Add(int64(ms.Kept))
 	return ms, nil
-}
-
-// MergeRecords is the materializing form of Merge: it folds the sources
-// into one canonical last-wins record slice without writing anything.
-// Use it only when the whole record set is genuinely needed at once
-// (verification against another artifact); Merge itself streams.
-func MergeRecords(srcs []string) ([]Record, MergeStats, error) {
-	plan, ms, err := planMerge(srcs)
-	if err != nil {
-		return nil, ms, err
-	}
-	defer plan.Close()
-	recs, err := Collect(plan.records())
-	if err != nil {
-		return nil, ms, err
-	}
-	return recs, ms, nil
 }
 
 // MergeScan streams the canonical merged view of srcs — the exact
@@ -274,36 +244,10 @@ func (p *mergePlan) each(fn func(s *mergeSource, e SourceEntry) error) error {
 	}
 }
 
-// parallelMergeThreshold is the winner count below which records()
-// stays serial: a handful of records never amortizes the pool setup,
-// and small merges dominate the test suite. A var, not a const, so
-// tests can force the parallel path on small inputs.
-var parallelMergeThreshold = 4096
-
-// records adapts the k-way iteration to the record sequence shape
-// Format.Write consumes. The cursor merge itself is inherently serial
-// (it is what defines the canonical output order), but record decode —
-// a positioned read plus a JSON or binary parse — is not, so large
-// merges run decodes on an ordered worker pool and the consumer drains
-// results in submission order. Output order, and therefore output
-// bytes, are identical to the serial path.
+// records decodes the plan's winners in canonical output order, one
+// positioned read per step on the caller's goroutine — the record
+// sequence shape Format.Write consumes.
 func (p *mergePlan) records() iter.Seq2[Record, error] {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8 // decode parallelism saturates well before the I/O does
-	}
-	total := 0
-	for _, s := range p.sources {
-		total += len(s.winners)
-	}
-	if workers < 2 || total < parallelMergeThreshold {
-		return p.recordsSerial()
-	}
-	return p.recordsParallel(workers)
-}
-
-// recordsSerial decodes one record per step on the caller's goroutine.
-func (p *mergePlan) recordsSerial() iter.Seq2[Record, error] {
 	return func(yield func(Record, error) bool) {
 		stop := fmt.Errorf("stop") // sentinel, never escapes
 		err := p.each(func(s *mergeSource, e SourceEntry) error {
@@ -320,169 +264,4 @@ func (p *mergePlan) recordsSerial() iter.Seq2[Record, error] {
 			yield(Record{}, err)
 		}
 	}
-}
-
-// decodeJob is one record decode in flight on the merge worker pool.
-// out is buffered, so a worker never blocks delivering its result and
-// the pool drains cleanly however the consumer exits.
-type decodeJob struct {
-	r   SourceReader
-	ext Extent
-	out chan decodeResult
-}
-
-type decodeResult struct {
-	rec Record
-	err error
-}
-
-// recordsParallel is records() over a decode pool: a feeder walks the
-// k-way cursor merge in canonical order, handing each winner to the
-// workers and — through a second channel carrying the same jobs in
-// submission order — to the consumer, which blocks on each job's own
-// result slot. Decodes overlap; delivery order does not change.
-//
-// Early exit (the consumer stops yielding, or a decode fails) closes
-// done; the feeder sees it at its next send, closes the job channels,
-// and the deferred Wait holds the iterator until every worker has
-// retired — no goroutine outlives the range loop, which is what keeps
-// plan.Close safe to run right after it.
-func (p *mergePlan) recordsParallel(workers int) iter.Seq2[Record, error] {
-	return func(yield func(Record, error) bool) {
-		jobs := make(chan *decodeJob, workers)
-		order := make(chan *decodeJob, 2*workers)
-		done := make(chan struct{})
-		var wg sync.WaitGroup
-		defer wg.Wait()
-		defer close(done)
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range jobs {
-					rec, err := j.r.Read(j.ext)
-					j.out <- decodeResult{rec: rec, err: err}
-				}
-			}()
-		}
-		stop := fmt.Errorf("stop") // sentinel, never escapes
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(jobs)
-			defer close(order)
-			p.each(func(s *mergeSource, e SourceEntry) error {
-				j := &decodeJob{r: s.r, ext: e.Ext, out: make(chan decodeResult, 1)}
-				select {
-				case order <- j:
-				case <-done:
-					return stop
-				}
-				select {
-				case jobs <- j:
-				case <-done:
-					return stop
-				}
-				return nil
-			})
-		}()
-		for j := range order {
-			res := <-j.out
-			if res.err != nil {
-				yield(Record{}, res.err)
-				return
-			}
-			if !yield(res.rec, nil) {
-				return
-			}
-		}
-	}
-}
-
-// writeJournal streams the plan's winners into a JSONL journal at dst,
-// decoding (via records(), so large merges decode on the worker pool)
-// and re-marshaling one record at a time — every output line is the
-// canonical encoding regardless of how the source frame was written,
-// which is what makes "merging a single source canonicalizes it" hold
-// even for hand-edited journals.
-func (p *mergePlan) writeJournal(dst, modeFrom string) error {
-	return atomicWrite(dst, modeFrom, func(w *bufio.Writer) error {
-		for rec, err := range p.records() {
-			if err != nil {
-				return err
-			}
-			line, merr := json.Marshal(rec)
-			if merr != nil {
-				return fmt.Errorf("runstore: %w", merr)
-			}
-			w.Write(line)
-			if werr := w.WriteByte('\n'); werr != nil {
-				return werr
-			}
-		}
-		return nil
-	})
-}
-
-// writeEntry writes one record's JSONL line from its source frame,
-// always via decode + canonical json.Marshal — never a verbatim byte
-// copy, so non-canonical source encodings (hand-edited lines, archive
-// payloads) normalize on the way through.
-func writeEntry(w *bufio.Writer, r SourceReader, e SourceEntry) error {
-	rec, err := r.Read(e.Ext)
-	if err != nil {
-		return err
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	w.Write(line)
-	return w.WriteByte('\n')
-}
-
-// atomicWrite replaces dst with whatever emit writes: temp file in the
-// target directory, single fsync, rename. The file mode is copied from
-// modeFrom when it exists (so rewriting a journal in place never
-// silently changes its permissions), 0644 otherwise. Merge and Compact
-// share this path.
-func atomicWrite(dst, modeFrom string, emit func(w *bufio.Writer) error) error {
-	if dir := filepath.Dir(dst); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("runstore: %w", err)
-		}
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".rewrite-*")
-	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	mode := os.FileMode(0o644)
-	if fi, err := os.Stat(modeFrom); err == nil {
-		mode = fi.Mode().Perm()
-	}
-	if err := tmp.Chmod(mode); err != nil {
-		tmp.Close()
-		return fmt.Errorf("runstore: %w", err)
-	}
-	bw := bufio.NewWriterSize(tmp, 256<<10)
-	if err := emit(bw); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	return nil
 }

@@ -74,17 +74,24 @@ type Info struct {
 	Detail   string // backend-specific shape, e.g. archive block/index stats
 }
 
-// Inspect reads a journal (or registered-format archive) file read-only
-// and reports its shape — the status probe behind `perfeval inspect` and
-// `perfeval shard-plan`. A torn or truncated tail is detected and
+// Inspect reads a store file read-only and reports its shape — the
+// status probe behind `perfeval inspect` and `perfeval shard-plan`. It
+// drains the file's SourceReader, so every format goes through the same
+// streaming walk (and the same framing and torn-tail rule) that Open and
+// every other reader use: a torn or truncated tail is detected and
 // reported via Info.Torn, never silently repaired or silently counted
-// past; a corrupt interior journal line is an error. The journal path
-// goes through the same streaming scan (and so the same framing and
-// torn-tail rule) that Open and every other reader use; registered
-// formats report richer Detail through their own Inspect hook.
+// past; a corrupt interior record is an error. Info.Detail carries the
+// format's own shape (archive block and index stats).
 func Inspect(path string) (Info, error) {
-	if f := formatOf(path); f != nil {
-		return f.Inspect(path)
+	r, err := OpenSource(path)
+	if err != nil {
+		return Info{}, err
 	}
-	return inspectFile(path, jsonlCodec)
+	defer r.Close()
+	for _, err := range r.Entries() {
+		if err != nil {
+			return Info{}, err
+		}
+	}
+	return r.Info(), nil
 }

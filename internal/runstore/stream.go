@@ -42,8 +42,8 @@ func (e SourceEntry) Key() string { return Key(e.Experiment, e.Hash, e.Replicate
 // that Merge, Compact, LoadRecords, and Inspect consume. Entries makes
 // one forward pass in file order, decoding each record transiently;
 // Read decodes a single record by the extent Entries yielded for it.
-// Implementations exist for the JSONL journal (here) and for every
-// registered Format (Format.OpenReader); OpenSource dispatches.
+// Every row of the format table supplies one (Format.OpenReader);
+// OpenSource dispatches.
 type SourceReader interface {
 	// Entries iterates every record in file order — superseded records
 	// included — as lightweight entries. A torn trailing frame ends the
@@ -53,8 +53,7 @@ type SourceReader interface {
 	// Read decodes the record at ext, which must have been yielded by
 	// Entries on this reader. Read must be safe for concurrent use —
 	// every implementation serves it with a stateless positioned read
-	// (ReadAt) — because the merge write pass decodes records on a
-	// worker pool.
+	// (ReadAt).
 	Read(ext Extent) (Record, error)
 	// Info reports the file's shape. Records/Torn are complete only
 	// after Entries has been fully consumed.
@@ -64,14 +63,11 @@ type SourceReader interface {
 }
 
 // OpenSource opens the store file at path for streaming read-only
-// access, dispatching registered formats by content sniffing and
-// falling back to the JSONL journal. The file is never created,
-// repaired, or truncated.
+// access through its row of the format table: registered formats by
+// content sniffing, the JSONL journal as the fallback. The file is
+// never created, repaired, or truncated.
 func OpenSource(path string) (SourceReader, error) {
-	if f := formatOf(path); f != nil {
-		return f.OpenReader(path)
-	}
-	return openReader(path, jsonlCodec)
+	return formatOf(path).OpenReader(path)
 }
 
 // Fingerprint hashes a record's measurement — its assignment and
@@ -222,22 +218,6 @@ func (r *fileReader) Info() Info { return r.info }
 
 // Close implements SourceReader.
 func (r *fileReader) Close() error { return r.f.Close() }
-
-// inspectFile reports a journal file's shape without retaining any
-// record payloads.
-func inspectFile(path string, c codec) (Info, error) {
-	r, err := openReader(path, c)
-	if err != nil {
-		return Info{}, err
-	}
-	defer r.Close()
-	for _, err := range r.Entries() {
-		if err != nil {
-			return Info{}, err
-		}
-	}
-	return r.Info(), nil
-}
 
 // ScanFile streams the distinct last-wins records of a store file —
 // journal or registered-format archive — in the file's deterministic

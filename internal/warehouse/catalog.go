@@ -6,6 +6,12 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	// The catalog discovers .arch and .archz files, and runstore reads
+	// a format only once its backend has registered: without this
+	// import a program linking only the warehouse would read an archive
+	// as one torn JSONL line and index it with no records.
+	_ "repro/internal/runstore/archivestore"
 )
 
 // storeExts are the file extensions the catalog treats as run stores.

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -344,5 +345,54 @@ func TestOpenErrors(t *testing.T) {
 	}
 	if _, err := Open(file, Options{}); err == nil {
 		t.Fatal("Open accepted a plain file as root")
+	}
+}
+
+// TestIndexesEveryFormat writes one record set as each store format the
+// catalog discovers, through runstore.Merge, and requires all four runs
+// to index identical cells. This test file deliberately does not import
+// the archive backend: the warehouse package must link it itself, or
+// an archive reads as a torn journal line and indexes as an empty run.
+func TestIndexesEveryFormat(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "src.jsonl")
+	var recs []runstore.Record
+	for i, f := range []string{"x", "y"} {
+		for rep := 0; rep < 2; rep++ {
+			recs = append(recs, mkRec("e", map[string]string{"f": f}, rep,
+				map[string]float64{"ms": float64(10*i + rep)}))
+		}
+	}
+	writeJournal(t, src, recs, baseTime)
+	root := t.TempDir()
+	exts := []string{".jsonl", ".binj", ".arch", ".archz"}
+	for _, ext := range exts {
+		dst := filepath.Join(root, "run"+ext)
+		if _, err := runstore.Merge([]string{src}, dst); err != nil {
+			t.Fatal(err)
+		}
+		if ext == ".arch" || ext == ".archz" {
+			data, err := os.ReadFile(dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(data, []byte("PEVARCH1")) {
+				t.Fatalf("%s was not written as an archive: starts %q", dst, data[:min(8, len(data))])
+			}
+		}
+	}
+	w := openTest(t, root)
+	rs, err := w.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Candidates != len(exts) || rs.Ingested != len(exts) || rs.Records != len(exts)*len(recs) {
+		t.Fatalf("refresh = %+v, want %d runs of %d records", rs, len(exts), len(recs))
+	}
+	runs := w.Runs()
+	for _, r := range runs[1:] {
+		if r.Records != runs[0].Records || !reflect.DeepEqual(r.Cells, runs[0].Cells) {
+			t.Errorf("%s indexed %d record(s) %+v, %s indexed %d %+v",
+				r.Path, r.Records, r.Cells, runs[0].Path, runs[0].Records, runs[0].Cells)
+		}
 	}
 }

@@ -169,7 +169,7 @@ type WorkConfig struct {
 type WorkReport struct {
 	Shards   int   // shard leases run to completion
 	Executed int   // units executed live on this worker
-	Replayed int   // units replayed from warm-start snapshots or spool
+	Replayed int   // units replayed from warm-start snapshots
 	Streamed int64 // records acknowledged by the collector
 	// Metrics snapshots the worker's metrics registry after the run:
 	// the sched_* series of its per-shard schedulers and the worker_*
